@@ -174,6 +174,62 @@ type writeRec struct {
 	valid bool
 }
 
+// tdesc is the timing shape of one static instruction, derived from its
+// isa.Inst once and reused on every retirement of that instruction: which
+// registers it reads in EX and in MEM, which it writes, and which hazard
+// rules apply to it. Registers are stored as operands relative to the
+// window bases, so one descriptor serves every window the instruction
+// runs in.
+type tdesc struct {
+	src   [3]opnd // nonzero EX source operands (duplicates kept: each is a read)
+	nsrc  uint8
+	data  opnd     // store data, a MEM-stage operand; valid under tdStoreData
+	dst   opnd     // valid under tdDest
+	win   uint8    // index into Machine.win of the window the sources are read in
+	cond  isa.Cond // JMP/JMPR condition; valid under tdCond
+	flags uint16
+}
+
+// opnd names a visible register as an offset from one of a window's three
+// bases: physical index = base[sel] + off.
+type opnd struct{ sel, off uint8 }
+
+// Operand selectors: the base each register group is indexed from.
+const (
+	selGlobal = iota // r1–r9: base 0
+	selLow           // r10–r25, LOW and LOCAL: the window's own registers
+	selHigh          // r26–r31, HIGH: shared with the caller's LOW
+)
+
+// tdesc flags.
+const (
+	tdReadsFlags  = 1 << iota // EX consumes the condition codes
+	tdWritesFlags             // SCC or PUTPSW
+	tdLoad
+	tdStore
+	tdStoreData // a store whose data register is not r0
+	tdDest      // writes a register other than r0
+	tdSlot      // a transfer owning a delay slot (every transfer but CALLINT)
+	tdCond      // JMP/JMPR: taken iff cond holds
+	tdRet       // RET/RETINT: taken unless it halted the machine
+)
+
+// Window-base rows of Machine.win: the sources of a CALL are read one
+// window before the push, those of a RET one window after the pop has
+// undone it, everything else in the current window.
+const (
+	winPrev = iota
+	winCur
+	winNext
+)
+
+// descEntry caches the descriptor of the instruction last retired from one
+// image word, keyed by its decoded form.
+type descEntry struct {
+	inst isa.Inst
+	d    tdesc
+}
+
 // Machine is a cycle-accurate pipelined RISC I. It embeds a single-cycle
 // core as its architectural oracle: every instruction executes exactly as
 // core.Step would, and the timing model observes the retirement stream to
@@ -195,11 +251,26 @@ type Machine struct {
 	slotPending bool // last retirement was a transfer owning a delay slot
 	slotTaken   bool
 
-	// memBusy holds the future MEM cycles of in-flight loads and stores —
-	// the cycles the shared memory port is closed to instruction fetch.
-	// Strictly increasing (MEM = EX+1 and EX is monotone), never more than
-	// a few entries deep.
-	memBusy []uint64
+	// busy[:nbusy] holds the future MEM cycles of in-flight loads and
+	// stores — the cycles the shared memory port is closed to instruction
+	// fetch. Strictly increasing (MEM = EX+1 and EX is monotone); after
+	// pruning every entry lies in [ex-2, ex+1] of the retiring instruction,
+	// so the queue never holds more than four.
+	busy  [4]uint64
+	nbusy int
+
+	// desc caches one descriptor per word of the loaded image, indexed by
+	// (pc-org)>>2. An entry is reused only while its inst equals the
+	// retiring one, so self-modifying code re-describes itself with no
+	// invalidation hook; the zero entry never matches (opcode 0 is
+	// undefined). A PC outside the image is described on the fly.
+	desc []descEntry
+	org  uint32
+
+	// win holds the {global, LOW, HIGH} bases of windows cwp-1, cwp and
+	// cwp+1, recomputed only when the oracle's window pointer moves.
+	win [3][3]int
+	cwp int
 
 	// last-seen oracle counters, for per-retirement deltas
 	lastOvf, lastUnf, lastNops, lastUseful uint64
@@ -231,6 +302,13 @@ func (m *Machine) Load(img *asm.Image) error {
 		return err
 	}
 	m.st = m.cpu.Stats() // Load replaced the stats object
+	m.org = img.Org
+	if n := len(img.Bytes) >> 2; cap(m.desc) < n {
+		m.desc = make([]descEntry, n)
+	} else {
+		m.desc = m.desc[:n]
+		clear(m.desc)
+	}
 	m.resetTiming()
 	return nil
 }
@@ -247,9 +325,21 @@ func (m *Machine) resetTiming() {
 		clear(m.regW)
 	}
 	m.flagW = writeRec{}
-	m.memBusy = m.memBusy[:0]
+	m.nbusy = 0
 	m.slotPending, m.slotTaken = false, false
 	m.lastOvf, m.lastUnf, m.lastNops, m.lastUseful = 0, 0, 0, 0
+	m.rebase(m.cpu.Regs.CWP())
+}
+
+// rebase points the window-base rows at windows cwp-1, cwp and cwp+1.
+func (m *Machine) rebase(cwp int) {
+	m.cwp = cwp
+	for k := range m.win {
+		w := cwp - winCur + k
+		m.win[k] = [3]int{selGlobal: 0,
+			selLow:  m.cpu.Regs.PhysIndex(w, isa.FirstLow),
+			selHigh: m.cpu.Regs.PhysIndex(w, isa.FirstHigh)}
+	}
 }
 
 // Run executes until halt, fault or cycle budget.
@@ -274,10 +364,96 @@ func (m *Machine) Result() Result {
 	return r
 }
 
+// describe derives the timing descriptor of inst.
+func (m *Machine) describe(inst isa.Inst) tdesc {
+	d := tdesc{win: winCur}
+	var buf [4]uint8
+	srcs := inst.SourceRegs(buf[:0])
+	switch inst.Op.Cat() {
+	case isa.CatLoad:
+		d.flags |= tdLoad
+	case isa.CatStore:
+		// Store data is a MEM-stage operand, kept apart from the EX scan.
+		d.flags |= tdStore
+		if r := srcs[len(srcs)-1]; r != 0 {
+			d.flags |= tdStoreData
+			d.data = operand(r)
+		}
+		srcs = srcs[:len(srcs)-1]
+	}
+	for _, r := range srcs {
+		if r != 0 { // r0 is hardwired zero
+			d.src[d.nsrc] = operand(r)
+			d.nsrc++
+		}
+	}
+	if r, ok := inst.DestReg(); ok && r != 0 {
+		d.flags |= tdDest
+		d.dst = operand(r)
+	}
+	// Conditional jumps consume the condition codes in EX; GETPSW reads
+	// them too. CondALW/CondNEV never look at the flags.
+	if inst.Op.IsConditional() {
+		d.flags |= tdCond
+		d.cond = inst.Cond()
+		if d.cond != isa.CondALW && d.cond != isa.CondNEV {
+			d.flags |= tdReadsFlags
+		}
+	}
+	if inst.Op == isa.OpGETPSW {
+		d.flags |= tdReadsFlags
+	}
+	if inst.SCC || inst.Op == isa.OpPUTPSW {
+		d.flags |= tdWritesFlags
+	}
+	if inst.Op.Transfers() && inst.Op != isa.OpCALLINT {
+		d.flags |= tdSlot
+	}
+	if inst.IsReturn() {
+		d.flags |= tdRet
+	}
+	// The oracle retires a call or return after its window shift, so the
+	// operands were read in the window on the other side of it.
+	if !m.flat {
+		switch {
+		case inst.IsCall():
+			d.win = winPrev
+		case inst.IsReturn():
+			d.win = winNext
+		}
+	}
+	return d
+}
+
+// operand places visible register r (1..31) in its register group.
+func operand(r uint8) opnd {
+	switch {
+	case r < isa.NumGlobalRegs:
+		return opnd{selGlobal, r}
+	case r < isa.FirstHigh:
+		return opnd{selLow, r - isa.FirstLow}
+	default:
+		return opnd{selHigh, r - isa.FirstHigh}
+	}
+}
+
 // retire is the core's Trace hook: called once per executed instruction,
 // after architectural effects (window shifts included) but before the PC
-// advances. All timing happens here.
+// advances. All timing happens here, as scoreboard arithmetic over the
+// instruction's cached descriptor.
 func (m *Machine) retire(pc uint32, inst isa.Inst) {
+	var d *tdesc
+	if off := pc - m.org; off&3 == 0 && off>>2 < uint32(len(m.desc)) {
+		e := &m.desc[off>>2]
+		if e.inst != inst {
+			e.inst, e.d = inst, m.describe(inst)
+		}
+		d = &e.d
+	} else {
+		live := m.describe(inst)
+		d = &live
+	}
+
 	m.res.Instructions++
 
 	// Delay-slot bookkeeping: the oracle classified this instruction
@@ -296,44 +472,32 @@ func (m *Machine) retire(pc uint32, inst isa.Inst) {
 	issue := m.ex + 1 + m.pending
 	m.pending = 0
 
-	// The window has already shifted for calls and returns, so operand
-	// reads and the link write land in different windows than CWP now
-	// reports. A RET that halted the machine never popped.
-	cwp := m.cpu.Regs.CWP()
-	srcWin, dstWin := cwp, cwp
-	if !m.flat {
-		switch {
-		case inst.IsCall():
-			srcWin = cwp - 1 // operands read before the push
-		case inst.IsReturn() && !m.cpu.Halted():
-			srcWin = cwp + 1 // return address read before the pop
-		}
+	if cwp := m.cpu.Regs.CWP(); cwp != m.cwp {
+		m.rebase(cwp)
+	}
+	halted := m.cpu.Halted()
+	srcBase := &m.win[d.win]
+	if d.win == winNext && halted {
+		srcBase = &m.win[winCur] // a RET that halted the machine never popped
 	}
 
-	// Scan EX operands for hazards. Store data is excluded here — it is
-	// a MEM-stage operand, handled below.
+	// Scan EX operands for hazards, keeping each in-flight producer for
+	// the forward classification below.
 	ex := issue
-	var srcBuf [4]uint8
-	srcs := inst.SourceRegs(srcBuf[:0])
-	var memSrc uint8
-	hasMemSrc := false
-	if inst.Op.Cat() == isa.CatStore {
-		memSrc, hasMemSrc = srcs[len(srcs)-1], true
-		srcs = srcs[:len(srcs)-1]
-	}
-	for _, r := range srcs {
-		if r == 0 {
-			continue // r0 is hardwired zero
-		}
-		if w := m.regW[m.cpu.Regs.PhysIndex(srcWin, r)]; w.valid {
+	var prod [4]writeRec
+	np := 0
+	for _, o := range d.src[:d.nsrc] {
+		if w := m.regW[srcBase[o.sel]+int(o.off)]; w.valid {
+			prod[np] = w
+			np++
 			if need := ready(w) + 1; ex < need {
 				ex = need
 			}
 		}
 	}
-	// Conditional jumps consume the condition codes in EX; GETPSW reads
-	// them too. CondALW/CondNEV never look at the flags.
-	if m.flagW.valid && readsFlags(inst) {
+	if d.flags&tdReadsFlags != 0 && m.flagW.valid {
+		prod[np] = m.flagW
+		np++
 		if need := ready(m.flagW) + 1; ex < need {
 			ex = need
 		}
@@ -345,10 +509,14 @@ func (m *Machine) retire(pc uint32, inst isa.Inst) {
 	// the fetch — and with it the whole rigid IF/ID/EX frame — slides
 	// until the port is free.
 	f := ex - 2
-	for len(m.memBusy) > 0 && m.memBusy[0] < f {
-		m.memBusy = m.memBusy[1:]
+	i := 0
+	for i < m.nbusy && m.busy[i] < f {
+		i++
 	}
-	for _, b := range m.memBusy {
+	if i > 0 {
+		m.nbusy = copy(m.busy[:], m.busy[i:m.nbusy])
+	}
+	for _, b := range m.busy[:m.nbusy] {
 		if b == f {
 			f++
 		} else if b > f {
@@ -361,26 +529,18 @@ func (m *Machine) retire(pc uint32, inst isa.Inst) {
 	}
 
 	// With the EX cycle fixed, classify where each operand came from.
-	for _, r := range srcs {
-		if r == 0 {
-			continue
-		}
-		if w := m.regW[m.cpu.Regs.PhysIndex(srcWin, r)]; w.valid {
-			m.countForward(ex-w.ex, w.load)
-		}
-	}
-	if m.flagW.valid && readsFlags(inst) {
-		m.countForward(ex-m.flagW.ex, m.flagW.load)
+	for _, w := range prod[:np] {
+		m.countForward(ex-w.ex, w.load)
 	}
 	// Store data is needed at the store's MEM stage, one cycle later, so
 	// even a load feeding the very next store forwards MEM-to-MEM
 	// without a stall.
-	if hasMemSrc && memSrc != 0 {
-		if w := m.regW[m.cpu.Regs.PhysIndex(srcWin, memSrc)]; w.valid {
-			switch d := ex - w.ex; {
-			case d == 1 && !w.load:
+	if d.flags&tdStoreData != 0 {
+		if w := m.regW[srcBase[d.data.sel]+int(d.data.off)]; w.valid {
+			switch dist := ex - w.ex; {
+			case dist == 1 && !w.load:
 				m.res.ForwardsEXMEM++
-			case d <= 2:
+			case dist <= 2:
 				m.res.ForwardsMEMWB++
 			}
 		}
@@ -388,16 +548,18 @@ func (m *Machine) retire(pc uint32, inst isa.Inst) {
 	m.ex = ex
 
 	// A load or store owns the memory port for its MEM cycle.
-	if c := inst.Op.Cat(); c == isa.CatLoad || c == isa.CatStore {
-		m.memBusy = append(m.memBusy, ex+1)
+	if d.flags&(tdLoad|tdStore) != 0 {
+		m.busy[m.nbusy] = ex + 1
+		m.nbusy++
 	}
 
-	// Scoreboard this instruction's writes for its successors.
-	isLoad := inst.Op.Cat() == isa.CatLoad
-	if d, ok := inst.DestReg(); ok && d != 0 {
-		m.regW[m.cpu.Regs.PhysIndex(dstWin, d)] = writeRec{ex: ex, load: isLoad, valid: true}
+	// Scoreboard this instruction's writes for its successors; the link a
+	// call writes lands in the new, current window.
+	isLoad := d.flags&tdLoad != 0
+	if d.flags&tdDest != 0 {
+		m.regW[m.win[winCur][d.dst.sel]+int(d.dst.off)] = writeRec{ex: ex, load: isLoad, valid: true}
 	}
-	if inst.SCC || inst.Op == isa.OpPUTPSW {
+	if d.flags&tdWritesFlags != 0 {
 		m.flagW = writeRec{ex: ex, load: isLoad, valid: true}
 	}
 
@@ -411,10 +573,19 @@ func (m *Machine) retire(pc uint32, inst isa.Inst) {
 			m.res.FlushBubbleCycles++
 		}
 	}
-	// ... and may itself open a slot (CALLINT is slotless).
-	if inst.Op.Transfers() && inst.Op != isa.OpCALLINT {
+	// ... and may itself open a slot. The taken decision mirrors the
+	// oracle's: the flags a conditional jump tested are still current
+	// (jumps do not write them), calls always transfer, and a RET
+	// transfers unless it halted the machine (the entry-procedure return).
+	if d.flags&tdSlot != 0 {
 		m.res.Transfers++
-		taken := m.taken(inst)
+		taken := true
+		switch {
+		case d.flags&tdCond != 0:
+			taken = d.cond.Holds(m.cpu.Flags())
+		case d.flags&tdRet != 0:
+			taken = !halted
+		}
 		if taken {
 			m.res.TakenTransfers++
 		}
@@ -423,15 +594,15 @@ func (m *Machine) retire(pc uint32, inst isa.Inst) {
 
 	// A window overflow or underflow during this instruction ran the
 	// spill/fill trap handler; the pipeline drains behind it.
-	if d := m.st.WindowOverflow - m.lastOvf; d != 0 {
+	if n := m.st.WindowOverflow - m.lastOvf; n != 0 {
 		m.lastOvf = m.st.WindowOverflow
-		m.pending += d * timing.RiscSpillCycles
-		m.res.WindowStallCycles += d * timing.RiscSpillCycles
+		m.pending += n * timing.RiscSpillCycles
+		m.res.WindowStallCycles += n * timing.RiscSpillCycles
 	}
-	if d := m.st.WindowUnderflow - m.lastUnf; d != 0 {
+	if n := m.st.WindowUnderflow - m.lastUnf; n != 0 {
 		m.lastUnf = m.st.WindowUnderflow
-		m.pending += d * timing.RiscFillCycles
-		m.res.WindowStallCycles += d * timing.RiscFillCycles
+		m.pending += n * timing.RiscFillCycles
+		m.res.WindowStallCycles += n * timing.RiscFillCycles
 	}
 }
 
@@ -455,30 +626,4 @@ func (m *Machine) countForward(d uint64, load bool) {
 		m.res.ForwardsMEMWB++
 	}
 	// d >= 3: plain register-file read, no bypass involved.
-}
-
-// readsFlags reports whether inst consumes the condition codes in EX.
-func readsFlags(inst isa.Inst) bool {
-	if inst.Op == isa.OpGETPSW {
-		return true
-	}
-	if !inst.Op.IsConditional() {
-		return false
-	}
-	c := inst.Cond()
-	return c != isa.CondALW && c != isa.CondNEV
-}
-
-// taken mirrors the oracle's transfer decision at retirement time: the
-// flags a conditional jump tested are still current (jumps do not write
-// them), calls always transfer, and a RET transfers unless it halted the
-// machine (the entry-procedure return).
-func (m *Machine) taken(inst isa.Inst) bool {
-	switch inst.Op {
-	case isa.OpJMP, isa.OpJMPR:
-		return inst.Cond().Holds(m.cpu.Flags())
-	case isa.OpRET, isa.OpRETINT:
-		return !m.cpu.Halted()
-	}
-	return true // CALL, CALLR
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"risc1/internal/asm"
@@ -204,6 +205,105 @@ func TestStoreDataNeedsNoInterlock(t *testing.T) {
 	checkInvariant(t, r)
 }
 
+// selfPatchSrc is a six-trip loop that, on its third trip, stores the
+// encoding of "ldl (r1)#0,r2" over its own first instruction, an
+// "add r1,#0,r2" that has already retired twice. The instruction after it
+// reads r2 in the very next slot, so the patch turns a free EX/MEM forward
+// into a load-use interlock.
+const selfPatchSrc = `
+main:	la donor,r3
+	ldl (r3)#0,r5       ; r5 = encoding of "ldl (r1)#0,r2"
+	la patch,r4
+	la data,r1
+	add r0,#0,r6        ; trip counter
+patch:	add r1,#0,r2        ; becomes ldl (r1)#0,r2 on the third trip
+	add r2,#1,r7        ; reads r2 in the next slot
+	add r6,#1,r6
+	cmp r6,#3
+	bne skip
+	nop
+	stl r5,(r4)#0       ; third trip only: overwrite patch
+skip:	cmp r6,#6
+	blt patch
+	nop
+	ret r25,#8
+	nop
+	.align 4
+data:	.word 41
+donor:	ldl (r1)#0,r2       ; never executed; exists for its encoding
+`
+
+func TestSelfModifyingTiming(t *testing.T) {
+	img := assemble(t, selfPatchSrc)
+	patchAddr, _ := img.Symbol("patch")
+
+	// Snapshot the Result each time the loop is about to run patch; trip k
+	// is the difference between snapshots k and k+1.
+	m := New(core.Config{}, PolicyDelayed)
+	if err := m.Load(img); err != nil {
+		t.Fatal(err)
+	}
+	var snaps []Result
+	for !m.CPU().Halted() {
+		if m.CPU().PC() == patchAddr {
+			snaps = append(snaps, m.Result())
+		}
+		if err := m.Step(); err != nil && !errors.Is(err, core.ErrHalted) {
+			t.Fatalf("step: %v", err)
+		}
+	}
+	if len(snaps) != 6 {
+		t.Fatalf("loop ran %d trips, want 6", len(snaps))
+	}
+
+	// Hand-computed per-trip costs. Before the patch a trip is nine
+	// hazard-free instructions. The patching trip adds the store, whose MEM
+	// stage closes the port to the fetch of the slot nop three behind it.
+	// After the patch the load stalls its consumer one cycle, and its own
+	// MEM stage then delays the fetch of the instruction after that.
+	type trip struct{ instructions, cycles, loadUse, memPort uint64 }
+	want := []trip{
+		2: {9, 9, 0, 0},
+		3: {10, 11, 0, 1},
+		4: {9, 11, 1, 1},
+		5: {9, 11, 1, 1},
+	}
+	for k := 2; k <= 5; k++ {
+		a, b := snaps[k-1], snaps[k]
+		got := trip{b.Instructions - a.Instructions, b.Cycles - a.Cycles,
+			b.LoadUseStallCycles - a.LoadUseStallCycles, b.MemPortStallCycles - a.MemPortStallCycles}
+		if got != want[k] {
+			t.Errorf("trip %d: got %+v, want %+v", k, got, want[k])
+		}
+	}
+	r := m.Result()
+	checkInvariant(t, r)
+
+	// The patched run must stay architecturally identical to the oracle.
+	oracle := core.New(core.Config{})
+	if err := oracle.Load(img); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.Run(); err != nil {
+		t.Fatal(err)
+	}
+	cpu := m.CPU()
+	for reg := uint8(0); reg < 32; reg++ {
+		if cpu.Reg(reg) != oracle.Reg(reg) {
+			t.Errorf("r%d = %#x, oracle %#x", reg, cpu.Reg(reg), oracle.Reg(reg))
+		}
+	}
+	if cpu.Reg(7) != 42 {
+		t.Errorf("r7 = %d, want 42 (the patched load did not run)", cpu.Reg(7))
+	}
+	if !reflect.DeepEqual(*cpu.Stats(), *oracle.Stats()) {
+		t.Errorf("stats diverged:\n pipeline %+v\n oracle   %+v", *cpu.Stats(), *oracle.Stats())
+	}
+	if r.Instructions != oracle.Stats().Instructions {
+		t.Errorf("result instructions = %d, oracle %d", r.Instructions, oracle.Stats().Instructions)
+	}
+}
+
 func TestTakenTransferPolicies(t *testing.T) {
 	// One taken branch with a useful delay slot. Delayed jumps cost
 	// nothing beyond the slot; predict-not-taken squashes the one
@@ -376,7 +476,7 @@ func TestFaultDifferential(t *testing.T) {
 // compileBench compiles a suite benchmark to a RISC image, with the wide
 // -data fallback the toolchain applies when a program's globals outgrow the
 // 13-bit displacement window.
-func compileBench(t *testing.T, b prog.Benchmark) *asm.Image {
+func compileBench(t testing.TB, b prog.Benchmark) *asm.Image {
 	t.Helper()
 	res, err := cc.Compile(b.Source, cc.Options{Target: cc.RISCPipelined})
 	if err != nil {
