@@ -112,6 +112,7 @@ func ExecuteContext(ctx context.Context, b prog.Benchmark, target cc.Target, opt
 		}
 		run.CodeBytes, run.DataBytes = split(img.Symbols, img.Org, len(img.Bytes))
 		m := cisc.New(cisc.Config{})
+		defer m.Mem.Release()
 		if err := m.Load(img); err != nil {
 			return nil, err
 		}
@@ -155,6 +156,7 @@ func ExecuteContext(ctx context.Context, b prog.Benchmark, target cc.Target, opt
 			// The pipelined target measures cycles on the five-stage
 			// model; architectural execution is still the step oracle.
 			m := pipeline.New(cfg, opt.Policy)
+			defer m.CPU().Mem.Release()
 			if err := m.Load(img); err != nil {
 				return nil, err
 			}
@@ -169,6 +171,7 @@ func ExecuteContext(ctx context.Context, b prog.Benchmark, target cc.Target, opt
 			run.Console = m.CPU().Console()
 		} else {
 			m := core.New(cfg)
+			defer m.Mem.Release()
 			if err := m.Load(img); err != nil {
 				return nil, err
 			}

@@ -416,9 +416,9 @@ func (mon *RunMonitor) install(m *mem.Memory, setProgress func(func(uint64, uint
 	}
 }
 
-// RunImage runs a compiled image to completion on a fresh machine of its
-// target, honoring ctx like BuildAndRunContext. The image is not modified,
-// so concurrent RunImage calls on one Image are safe.
+// RunImage runs a compiled image to completion on a machine of its target
+// with zeroed memory, honoring ctx like BuildAndRunContext. The image is not
+// modified, so concurrent RunImage calls on one Image are safe.
 func RunImage(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error) {
 	if opt.Cores < 0 || opt.Cores > MaxCores {
 		return nil, ErrBadCores
@@ -431,6 +431,7 @@ func RunImage(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error)
 	}
 	if img.target == CISC {
 		m := cisc.New(cisc.Config{MaxCycles: opt.MaxCycles})
+		defer m.Mem.Release()
 		if err := m.Load(img.cisc); err != nil {
 			return nil, err
 		}
@@ -445,6 +446,7 @@ func RunImage(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error)
 			SaveStackBytes: 64 << 10,
 			MaxCycles:      opt.MaxCycles,
 		}, opt.Policy)
+		defer pm.CPU().Mem.Release()
 		if err := pm.Load(img.risc); err != nil {
 			return nil, err
 		}
@@ -468,6 +470,7 @@ func RunImage(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error)
 		MaxCycles:      opt.MaxCycles,
 		Engine:         opt.Engine,
 	})
+	defer m.Mem.Release()
 	if err := m.Load(img.risc); err != nil {
 		return nil, err
 	}
@@ -501,6 +504,7 @@ func runSMP(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Core(0).Mem.Release() // every core shares core 0's memory
 	opt.Monitor.install(m.Core(0).Mem, func(f func(uint64, uint64)) { m.Progress = f })
 	if err := m.Run(ctx); err != nil {
 		return nil, err
