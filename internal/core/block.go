@@ -257,9 +257,10 @@ func (b *block) blockPC(idx int) uint32 { return b.startPC + uint32(4*idx) }
 
 // runBlock executes b, iterating in place while b is a self-loop that
 // keeps branching back to its own leader. It reports how many
-// instructions it consumed from budget. Preconditions (nextBlock): not
-// halted, not in a delay slot, no interrupt pending, pc == b.startPC, no
-// Trace installed, and Cycles+cyclesButLast < MaxCycles.
+// instructions it consumed from budget. Every exit reports what retired
+// to the Retire hook. Preconditions (nextBlock): not halted, not in a
+// delay slot, no interrupt pending, pc == b.startPC, and
+// Cycles+cyclesButLast < MaxCycles.
 func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 	consumed := 0
 	for {
@@ -275,7 +276,9 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 		for i := range b.ops {
 			op := &b.ops[i]
 			if err := op.fn(c); err != nil {
-				return consumed, c.blockFault(b, int(op.fidx), err)
+				err = c.blockFault(b, int(op.fidx), err)
+				c.retired(w, int(op.fidx), false)
+				return consumed, err
 			}
 			if op.store && c.blocks[w] != b {
 				// The store rewrote part of this very block (self-modifying
@@ -286,6 +289,7 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 				c.lastPC = b.blockPC(int(op.fidx))
 				c.pc = b.blockPC(next)
 				c.npc = c.pc + 4
+				c.retired(w, next, false)
 				return consumed, nil
 			}
 		}
@@ -296,6 +300,7 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 			c.lastPC = end - 4
 			c.pc = end
 			c.npc = end + 4
+			c.retired(w, b.nInst, false)
 			return consumed, nil
 		}
 
@@ -323,12 +328,15 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 				c.stat.DelaySlotUseful++
 				if err := b.slotFn(c); err != nil {
 					c.pc = slotPC
-					return consumed, c.runError(slotPC, err)
+					err = c.runError(slotPC, err)
+					c.retired(w, b.termIdx+1, taken)
+					return consumed, err
 				}
 			}
 			c.lastPC = slotPC
 			c.pc = c.npc
 			c.npc = c.pc + 4
+			c.retired(w, b.nInst, taken)
 			// Loop-resident execution: the taken branch lands back on this
 			// block's leader and the machine is exactly at block entry, so
 			// iterate here under the same gates nextBlock would apply.
@@ -350,7 +358,9 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 			}
 			c.pc = termPC
 			c.npc = termPC + 4
-			return consumed, c.runError(termPC, err)
+			err = c.runError(termPC, err)
+			c.retired(w, b.termIdx, false)
+			return consumed, err
 		}
 		c.lastPC = termPC
 		c.pc = slotPC
@@ -368,13 +378,16 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 			// RET to HaltAddr halts during the transfer itself; the slot
 			// never executes.
 			c.unwindBlock(b, b.termIdx+1)
+			c.retired(w, b.termIdx+1, false)
 			return consumed, nil
 		}
 		// The transfer may have accrued dynamic spill/fill cycles; re-check
 		// the budget exactly where Step would, at the slot boundary.
 		if c.stat.Cycles-uint64(b.costs[b.termIdx+1].cycles) >= c.cfg.MaxCycles {
 			c.unwindBlock(b, b.termIdx+1)
-			return consumed, c.runError(c.pc, ErrMaxCycles)
+			err := c.runError(c.pc, ErrMaxCycles)
+			c.retired(w, b.termIdx+1, transferred)
+			return consumed, err
 		}
 		c.inDelay = false
 		if b.slotNop {
@@ -384,13 +397,31 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 		}
 		if b.slotFn != nil {
 			if err := b.slotFn(c); err != nil {
-				return consumed, c.runError(slotPC, err)
+				err = c.runError(slotPC, err)
+				c.retired(w, b.termIdx+1, transferred)
+				return consumed, err
 			}
 		}
 		c.lastPC = slotPC
 		c.pc = c.npc
 		c.npc = c.pc + 4
+		c.retired(w, b.nInst, transferred)
 		return consumed, nil
+	}
+}
+
+// retired reports the first k instructions of the block leading at word w
+// to the Retire hook, if one is installed. It is small enough to inline,
+// so a run without the hook pays one nil check per block.
+func (c *CPU) retired(w uint32, k int, taken bool) {
+	if c.Retire != nil {
+		c.reportRun(w, k, taken)
+	}
+}
+
+func (c *CPU) reportRun(w uint32, k int, taken bool) {
+	if k > 0 {
+		c.Retire(c.codeOrg+4*w, c.predec[w:int(w)+k], taken)
 	}
 }
 

@@ -61,8 +61,9 @@ type Config struct {
 	// MaxCycles aborts runaway programs (default 1e9).
 	MaxCycles uint64
 	// Engine selects the execution engine Run uses (default EngineAuto:
-	// trace-tier block execution, single-step when a Trace is installed).
-	// Step is always the single-step oracle regardless of this knob.
+	// trace-tier block execution, plain block execution while a Retire
+	// hook is installed). Step is always the single-step oracle regardless
+	// of this knob.
 	Engine Engine
 	// HotThreshold is how many executions warm a block leader before the
 	// trace tier (EngineAuto/EngineTrace) compiles a superblock there
@@ -195,6 +196,11 @@ type sharedCode struct {
 	traces     []*trace
 	liveTraces []*trace
 	traceGen   uint64
+
+	// codeGen counts stores into the code range. A Retire hook that caches
+	// anything derived from the retired instructions need only re-check
+	// them when it has moved.
+	codeGen uint64
 }
 
 // CPU is one RISC I processor with its memory.
@@ -225,16 +231,27 @@ type CPU struct {
 	// compiles and invalidations land on the core that caused them.
 	traceStat TraceStats
 
-	// Trace, when non-nil, is called after every executed instruction
-	// with its address and decoded form (before the PC advances).
-	Trace func(pc uint32, inst isa.Inst)
+	// Retire, when non-nil, is called once per run of consecutively
+	// retired instructions, after the run's effects: insts are the
+	// instructions in execution order, at addresses pc, pc+4, ..., and
+	// taken reports whether the run's control transfer (if it retired one)
+	// was taken. Step reports each instruction as a run of one; the block
+	// engine reports a whole block, one self-loop iteration, or the
+	// retired prefix of a block stopped early (a fault, a store into its
+	// own code, a halt or MaxCycles). An instruction that faults is never
+	// reported. While it is installed the trace tier stands down, since
+	// superblocks do not expose their retirements; blocks still run.
+	// insts may alias the predecode cache: the hook must not keep or
+	// modify it.
+	Retire func(pc uint32, insts []isa.Inst, taken bool)
+	// retireBuf holds the one instruction Step reports to Retire.
+	retireBuf [1]isa.Inst
 
 	// Progress, when non-nil, is called at RunContext batch boundaries —
 	// at most once per runBatch instructions — with the instruction and
-	// cycle counters retired so far. Unlike Trace it does not force the
-	// step oracle: the compiled engines surface at batch boundaries
-	// anyway, so the hook costs one call per batch. It runs on the
-	// simulation goroutine; keep it cheap.
+	// cycle counters retired so far. The compiled engines surface at
+	// batch boundaries anyway, so the hook costs one call per batch. It
+	// runs on the simulation goroutine; keep it cheap.
 	Progress func(instructions, cycles uint64)
 }
 
@@ -311,6 +328,7 @@ func (c *CPU) predecode(img *asm.Image) {
 // invalidateCode drops the predecoded lines covered by a store into the
 // code range; the next execution of those addresses re-fetches live.
 func (c *CPU) invalidateCode(addr uint32, size int) {
+	c.codeGen++
 	lo, hi := addr, addr+uint32(size) // [lo, hi), hi > codeOrg per the watch
 	if lo < c.codeOrg {
 		lo = c.codeOrg
@@ -345,6 +363,13 @@ func (c *CPU) invalidateCode(addr uint32, size int) {
 }
 
 // Accessors.
+
+// CodeSpan returns the predecoded code range: its origin and length in
+// words. Stores into it bump CodeGen; the block engine runs only inside it.
+func (c *CPU) CodeSpan() (org uint32, words int) { return c.codeOrg, len(c.predec) }
+
+// CodeGen counts the stores into the code range so far.
+func (c *CPU) CodeGen() uint64 { return c.codeGen }
 
 // PC returns the address of the next instruction to execute.
 func (c *CPU) PC() uint32 { return c.pc }
@@ -434,11 +459,11 @@ func (c *CPU) RunContext(ctx context.Context) error {
 }
 
 // engineTiers resolves the configured engine to the tiers a run may use.
-// The compiled engines are exact only without a per-instruction trace
-// callback; the auto engine falls back to stepping there.
+// Superblocks do not report their retirements, so the trace tier stands
+// down while a Retire hook is installed; blocks report theirs.
 func (c *CPU) engineTiers() (useBlocks, useTraces bool) {
-	useBlocks = c.cfg.Engine != EngineStep && c.Trace == nil
-	useTraces = useBlocks && c.cfg.Engine != EngineBlock
+	useBlocks = c.cfg.Engine != EngineStep
+	useTraces = useBlocks && c.cfg.Engine != EngineBlock && c.Retire == nil
 	return
 }
 
@@ -565,10 +590,6 @@ func (c *CPU) Step() error {
 	if err != nil {
 		return c.runError(execPC, err)
 	}
-	if c.Trace != nil {
-		c.Trace(execPC, *inst)
-	}
-
 	c.lastPC = execPC
 	c.pc = c.npc
 	if transferred {
@@ -583,6 +604,10 @@ func (c *CPU) Step() error {
 			c.inDelay = true
 			c.stat.Transfers++
 		}
+	}
+	if c.Retire != nil {
+		c.retireBuf[0] = *inst
+		c.Retire(execPC, c.retireBuf[:], transferred)
 	}
 	return nil
 }

@@ -8,10 +8,10 @@ import "fmt"
 type Engine uint8
 
 const (
-	// EngineAuto picks the fastest exact engine: the trace tier (block
-	// execution plus profile-guided superblocks once a leader warms up)
-	// whenever it is exact — no per-instruction Trace installed — and
-	// single-steps otherwise.
+	// EngineAuto picks the fastest engine: the trace tier (block
+	// execution plus profile-guided superblocks once a leader warms up),
+	// or plain block execution while a Retire hook is installed, since
+	// superblocks do not report their retirements.
 	EngineAuto Engine = iota
 	// EngineBlock forces basic-block execution without the trace tier.
 	// Individual instructions still single-step where a block cannot
@@ -24,7 +24,8 @@ const (
 	// EngineTrace forces the trace/superblock tier: block execution with
 	// heat counters, compiling hot paths that span taken delayed branches
 	// into guarded superblocks. Cold code still runs on blocks and single
-	// steps exactly like EngineBlock.
+	// steps exactly like EngineBlock, and so does everything while a
+	// Retire hook is installed.
 	EngineTrace
 )
 

@@ -357,21 +357,102 @@ func TestEngineEquivalenceInterrupt(t *testing.T) {
 	}
 }
 
-// TestEngineAutoTraceFallsBack pins the auto engine's trace contract: a
-// per-instruction Trace sees every instruction even under EngineAuto.
+// retirement is one instruction as the Retire hook reported it; taken is
+// recorded on the run's transfer only.
+type retirement struct {
+	pc    uint32
+	inst  isa.Inst
+	taken bool
+}
+
+// recordRetire installs a Retire hook on c that appends every reported
+// instruction to *log, checking that runs are non-empty and that the
+// first instruction of each run follows the PC the previous run left.
+func recordRetire(t *testing.T, c *CPU, log *[]retirement) {
+	t.Helper()
+	c.Retire = func(pc uint32, insts []isa.Inst, taken bool) {
+		if len(insts) == 0 {
+			t.Fatalf("empty run reported at %#x", pc)
+		}
+		for i, in := range insts {
+			r := retirement{pc: pc + uint32(4*i), inst: in}
+			if in.Op.Transfers() {
+				r.taken = taken
+			}
+			*log = append(*log, r)
+		}
+	}
+}
+
+// faultMidBlockSrc loops long enough to run its blocks on every engine,
+// then faults on a load in the middle of a straight-line block.
+const faultMidBlockSrc = `
+	main:	add r0,#0,r1
+	loop:	add r1,#1,r1
+		cmp r1,#40
+		blt loop
+		nop
+		ldhi r2,#0x3ffff
+		add r1,#2,r1
+		ldl (r2)#0,r3
+		add r1,#3,r1
+		ret r25,#8
+		nop
+	`
+
+// TestEngineAutoTraceFallsBack pins the Retire hook contract: under the
+// step, block, auto and trace engines the hook sees every retired
+// instruction exactly once, in order, with the same transfer outcomes, and
+// never an instruction that faulted. With the hook installed the auto and
+// trace engines run blocks but no superblocks.
 func TestEngineAutoTraceFallsBack(t *testing.T) {
-	img := asm.MustAssemble(loopSrc)
-	c := New(Config{Engine: EngineAuto})
-	if err := c.Load(img); err != nil {
-		t.Fatal(err)
-	}
-	var traced uint64
-	c.Trace = func(pc uint32, inst isa.Inst) { traced++ }
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if traced != c.Stats().Instructions {
-		t.Fatalf("trace saw %d of %d instructions", traced, c.Stats().Instructions)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		src   string
+		fault bool
+	}{
+		{"loop", Config{}, loopSrc, false},
+		{"recursion", Config{Windows: 3, SpillBatch: 2}, recurseSrc, false},
+		{"fault", Config{}, faultMidBlockSrc, true},
+		{"maxcycles", Config{MaxCycles: 1234}, loopSrc, true},
+	} {
+		img := asm.MustAssemble(tc.src)
+		var want []retirement
+		for _, e := range []Engine{EngineStep, EngineBlock, EngineAuto, EngineTrace} {
+			cfg := tc.cfg
+			cfg.Engine = e
+			cfg.HotThreshold = 2
+			c := New(cfg)
+			if err := c.Load(img); err != nil {
+				t.Fatal(err)
+			}
+			var got []retirement
+			recordRetire(t, c, &got)
+			err := c.Run()
+			if (err != nil) != tc.fault {
+				t.Fatalf("%s/%v: err = %v", tc.name, e, err)
+			}
+			if ts := c.TraceStats(); ts.Compiled != 0 || ts.Instructions != 0 {
+				t.Errorf("%s/%v: trace tier ran under the hook: %+v", tc.name, e, ts)
+			}
+			// The faulting instruction is charged but never retires; a
+			// refused MaxCycles step is not charged at all.
+			charged := c.Stats().Instructions
+			if err != nil && !errors.Is(err, ErrMaxCycles) {
+				charged--
+			}
+			if uint64(len(got)) != charged {
+				t.Errorf("%s/%v: hook saw %d instructions, %d retired", tc.name, e, len(got), charged)
+			}
+			if e == EngineStep {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%v: retirement stream differs from step (%d vs %d)", tc.name, e, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -154,7 +154,8 @@ func ExecuteContext(ctx context.Context, b prog.Benchmark, target cc.Target, opt
 		}
 		if target == cc.RISCPipelined {
 			// The pipelined target measures cycles on the five-stage
-			// model; architectural execution is still the step oracle.
+			// model; architectural execution runs on the block engine,
+			// whatever opt.Engine says.
 			m := pipeline.New(cfg, opt.Policy)
 			defer m.CPU().Mem.Release()
 			if err := m.Load(img); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"risc1/internal/asm"
@@ -16,15 +17,72 @@ import (
 // how many cycles the execution takes: the fault, console, PC, registers and
 // stats must be the oracle's, the timing layer's own instruction, transfer
 // and delay-slot counts must agree with the oracle's, and every cycle must be
-// attributed. A panic fails the run, so the fixed-size memory-port queue is
-// checked for overflow on every input. Seeds include a loop that patches an
-// instruction it has already retired, which the descriptor cache must
-// notice, and recursion deep enough to take window traps.
+// attributed. The memoized block pricing of Run must also equal pricing one
+// bypassed Step at a time. A panic fails the run, so the fixed-size
+// memory-port queue is checked for overflow on every input. Seeds include a
+// loop that patches an instruction it has already retired, which the
+// descriptor cache and the memo must notice, recursion deep enough to take
+// window traps at call and return terminators, a leader entered with
+// different hazard tails, a branch that flips at one leader, a fault in the
+// middle of a block and a cycle limit that lands inside one.
 //
 //	go test -fuzz=FuzzPipelineOracle ./internal/pipeline
 func FuzzPipelineOracle(f *testing.F) {
 	f.Add(asm.MustAssemble(selfPatchSrc).Bytes, uint32(20000))
 	f.Add(asm.MustAssemble(sumProgram(12)).Bytes, uint32(30000))
+	// One leader (join) entered from two predecessors: after a load whose
+	// value join reads at once, and after an ALU write it forwards.
+	f.Add(asm.MustAssemble(`
+	main:	add r0,#0,r1
+		li #0x400,r2
+	loop:	add r1,#1,r1
+		and r1,#1,r3
+		cmp r3,#0
+		beq even
+		nop
+		ldl (r2)#0,r4
+		b join
+		nop
+	even:	add r1,#7,r4
+		b join
+		add r4,#1,r4
+	join:	add r4,r1,r5
+		stl r5,(r2)#0
+		cmp r1,#40
+		blt loop
+		nop
+		ret r25,#8
+		nop
+	`).Bytes, uint32(20000))
+	// A branch at one leader that is taken every third trip, so the same
+	// block retires with both outcomes and both delay-slot states follow.
+	f.Add(asm.MustAssemble(`
+	main:	add r0,#0,r1
+		add r0,#0,r2
+	loop:	add r2,#1,r2
+		cmp r2,#3
+		bne skip
+		add r1,#1,r1
+		add r0,#0,r2
+	skip:	cmp r1,#30
+		blt loop
+		nop
+		ret r25,#8
+		nop
+	`).Bytes, uint32(20000))
+	// Call and return terminators that spill and fill: recursion deeper
+	// than the window file, run twice so the second descent hits the memo.
+	f.Add(asm.MustAssemble(strings.Replace(sumProgram(20), "nop\n", `nop
+		add r0,#20,r10
+		callr r25,sum
+		nop
+	`, 1)).Bytes, uint32(30000))
+	// A block that stores over its own leader.
+	f.Add(asm.MustAssemble(ownBlockPatchSrc).Bytes, uint32(20000))
+	// A load faulting in the middle of a block, after its loop warmed up.
+	f.Add(asm.MustAssemble(faultMidBlockSrc).Bytes, uint32(20000))
+	// A cycle limit that lands inside the loop's block.
+	f.Add(asm.MustAssemble(faultMidBlockSrc).Bytes, uint32(117))
 	// The core engines' self-modifying seed: once hot, the loop stores a
 	// different ALU operation over its own body.
 	f.Add(asm.MustAssemble(`
@@ -75,7 +133,7 @@ func FuzzPipelineOracle(f *testing.F) {
 		// in execution is in its stats but never retires.
 		oracle := core.New(cfg)
 		var retired uint64
-		oracle.Trace = func(uint32, isa.Inst) { retired++ }
+		oracle.Retire = func(_ uint32, insts []isa.Inst, _ bool) { retired += uint64(len(insts)) }
 		if err := oracle.Load(img); err != nil {
 			t.Fatalf("oracle load: %v", err)
 		}
@@ -114,7 +172,18 @@ func FuzzPipelineOracle(f *testing.F) {
 				t.Fatalf("%v: stats diverged:\n pipeline %+v\n oracle   %+v", p, *st, *ost)
 			}
 
+			ref, rerr := stepPriced(cfg, p, img)
+			if (rerr == nil) != (perr == nil) || rerr != nil && rerr.Error() != perr.Error() {
+				t.Fatalf("%v: fault mismatch:\nrun:  %v\nstep: %v", p, perr, rerr)
+			}
 			r := m.Result()
+			if want := ref.Result(); r != want || m.pending != ref.pending {
+				t.Fatalf("%v: block pricing differs from step pricing:\n run  %+v (+%d pending)\n step %+v (+%d pending)",
+					p, r, m.pending, want, ref.pending)
+			}
+			if m.cwp != cpu.Regs.CWP() {
+				t.Fatalf("%v: pricer window %d, oracle %d", p, m.cwp, cpu.Regs.CWP())
+			}
 			if r.Instructions != retired {
 				t.Fatalf("%v: result instructions = %d, oracle retired %d", p, r.Instructions, retired)
 			}

@@ -56,7 +56,7 @@ const (
 	CISC = cc.CISC
 	// RISCPipelined runs windowed code on the cycle-accurate five-stage
 	// pipeline model: architectural results identical to RISCWindowed
-	// (the pipeline drives the same step oracle), timing measured with
+	// (the pipeline drives the same core), timing measured with
 	// forwarding, interlocks, window-trap drains and a control-transfer
 	// policy instead of unit instruction costs.
 	RISCPipelined = cc.RISCPipelined
@@ -358,7 +358,7 @@ type RunOptions struct {
 	MaxCycles uint64
 	// Engine selects the RISC core execution engine. The CX machine has a
 	// single interpreter and ignores it; the pipelined target always runs
-	// the step oracle (the timing model observes individual retirements).
+	// the block engine (the timing model prices each block's retirements).
 	Engine Engine
 	// Policy selects the pipelined target's control-transfer policy
 	// (delayed or squash); other targets ignore it.
@@ -758,13 +758,20 @@ func (m *Machine) Symbol(name string) (uint32, bool) {
 }
 
 // SetTrace installs (or clears, with nil) a per-instruction trace callback
-// receiving each executed instruction's address and disassembly.
+// receiving each executed instruction's address and disassembly, in
+// execution order. An instruction that faults is not traced. The sequence
+// is the same under every engine; the trace tier stands down while a
+// callback is installed.
 func (m *Machine) SetTrace(f func(pc uint32, disasm string)) {
 	if f == nil {
-		m.cpu.Trace = nil
+		m.cpu.Retire = nil
 		return
 	}
-	m.cpu.Trace = func(pc uint32, inst isa.Inst) { f(pc, inst.String()) }
+	m.cpu.Retire = func(pc uint32, insts []isa.Inst, _ bool) {
+		for i := range insts {
+			f(pc+uint32(4*i), insts[i].String())
+		}
+	}
 }
 
 // Disassemble renders RISC I assembly for an assembled source, with

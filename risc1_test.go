@@ -3,6 +3,7 @@ package risc1_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -80,6 +81,62 @@ func TestTraceCallback(t *testing.T) {
 	}
 	// Clearing the trace must stop callbacks.
 	m.SetTrace(nil)
+}
+
+// TestTraceEngineIndependent pins that SetTrace reports the same (pc,
+// disasm) sequence under the step engine and under auto, where blocks
+// report their retirements a run at a time: through loops, calls that
+// spill and fill, and a load that faults in the middle of a block (which
+// must not be traced).
+func TestTraceEngineIndependent(t *testing.T) {
+	const src = `
+	main:	add r0,#0,r1
+	loop:	add r1,#1,r1
+		add r0,#4,r10
+		callr r25,sum
+		nop
+		add r10,r1,r4
+		cmp r1,#30
+		blt loop
+		nop
+		ldhi r2,#0x3ffff
+		add r1,#2,r1
+		ldl (r2)#0,r3
+		add r1,#3,r1
+		ret r25,#8
+		nop
+	sum:	cmp r26,#0
+		beq base
+		nop
+		sub r26,#1,r10
+		callr r25,sum
+		nop
+		add r10,r26,r26
+	base:	ret r25,#8
+		nop
+	`
+	trace := func(e risc1.Engine) ([]string, error) {
+		m := risc1.NewMachine(risc1.MachineConfig{Windows: 3, Engine: e})
+		if err := m.LoadAssembly(src); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		m.SetTrace(func(pc uint32, disasm string) {
+			got = append(got, fmt.Sprintf("%08x: %s", pc, disasm))
+		})
+		return got, m.Run()
+	}
+	want, errStep := trace(risc1.EngineStep)
+	got, errAuto := trace(risc1.EngineAuto)
+	if errStep == nil || errAuto == nil || errStep.Error() != errAuto.Error() {
+		t.Fatalf("want the same mid-block fault: step %v, auto %v", errStep, errAuto)
+	}
+	if len(want) < 500 || strings.Contains(want[len(want)-1], "ldl") {
+		t.Fatalf("step trace has %d entries ending in %q", len(want), want[len(want)-1])
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("auto trace (%d entries) differs from step trace (%d entries)", len(got), len(want))
+	}
 }
 
 func TestDisassemble(t *testing.T) {
