@@ -79,3 +79,43 @@ func TestMemoInvalidationLastByte(t *testing.T) {
 		t.Errorf("res2 = %d, want %d (stale memo replayed after a last-byte store)", got, want)
 	}
 }
+
+// TestSelfStoreOnFirstExecution pins an instruction that stores into its
+// own bytes the first time it runs: movb #127, 16(r3) with r3 = patch-12
+// rewrites its own displacement byte from 16 to 127. The second execution
+// must decode the new displacement and store at patch+115; an instruction
+// cache that kept the bytes (or decode) it saw before the store would
+// store at patch+4 again.
+func TestSelfStoreOnFirstExecution(t *testing.T) {
+	img, err := Assemble(`
+	main:	.mask
+		movl #2, r4
+		moval patch, r3
+		subl2 #12, r3
+	patch:	movb #127, 16(r3)   ; [op][imm8 spec][7f][disp8 spec][10]
+		decl r4
+		bne patch
+		ret
+	`)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	patch := img.Symbols["patch"]
+	if got := img.Bytes[patch-img.Org+4]; got != 16 {
+		t.Fatalf("displacement byte at patch+4 = %d, want 16 (encoding changed)", got)
+	}
+	c := New(Config{})
+	if err := c.Load(img); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	got, err := c.Mem.Bytes(patch+115, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 127 {
+		t.Errorf("byte at patch+115 = %#02x, want 0x7f (the patched displacement was not used)", got[0])
+	}
+}
