@@ -2,6 +2,7 @@ package cisc
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -91,4 +92,100 @@ func TestRandomFramePointerRET(t *testing.T) {
 			_ = c.Run()
 		}()
 	}
+}
+
+// predecodeSeeds are programs that patch their own code, for
+// FuzzCXPredecode: the programs of TestSelfModifyingCode,
+// TestMemoInvalidationLastByte and TestSelfStoreOnFirstExecution.
+var predecodeSeeds = []string{`
+	main:	.mask
+		clrl r1
+		moval patch, r3
+	patch:	addl2 #7, r1
+		cmpl r1, #7
+		bne done
+		movb #99, 2(r3)
+		br patch
+	done:	ret
+	`, `
+	main:	.mask
+		clrl r5
+		moval patch, r3
+		moval res2, r4
+	patch:	addl3 #1000000, #2000000, @res1
+	after:	cmpl r5, #1
+		beq done
+		movl #1, r5
+		movb r4, 15(r3)
+		br patch
+	done:	movl @res1, r6
+		movl @res2, r7
+		ret
+		.align 4
+	res1:	.word 0
+	res2:	.word 0
+	`, `
+	main:	.mask
+		movl #2, r4
+		moval patch, r3
+		subl2 #12, r3
+	patch:	movb #127, 16(r3)
+		decl r4
+		bne patch
+		ret
+	`}
+
+// FuzzCXPredecode is the decoded instruction cache's differential: every
+// input runs once with the cache and once with it bypassed, so that every
+// execution decodes from memory. The two machines must agree on registers,
+// flags, PC, console, every Stats field and the error. The input is a code
+// image loaded at 0, its entry point and its __data_start (0: all code).
+//
+//	go test -fuzz=FuzzCXPredecode ./internal/cisc
+func FuzzCXPredecode(f *testing.F) {
+	for _, img := range compileSuite(f) {
+		f.Add(img.Bytes, uint16(img.Entry), uint16(img.Symbols["__data_start"]))
+	}
+	for _, src := range predecodeSeeds {
+		img := MustAssemble(src)
+		f.Add(img.Bytes, uint16(img.Entry), uint16(0))
+	}
+	r := rand.New(rand.NewSource(23))
+	for i := 0; i < 8; i++ {
+		code := make([]byte, 256)
+		r.Read(code)
+		code[0], code[1] = 0, 0 // mask word entry
+		f.Add(code, uint16(0), uint16(0))
+	}
+	f.Fuzz(func(t *testing.T, code []byte, entry, dataStart uint16) {
+		if len(code) < 2 || len(code) > 1<<15 || int(entry)+2 > len(code) {
+			return
+		}
+		img := &Image{Bytes: code, Entry: uint32(entry), Symbols: map[string]uint32{}}
+		if dataStart > 0 {
+			img.Symbols["__data_start"] = uint32(dataStart)
+		}
+		run := func(noCache bool) (*CPU, string) {
+			c := New(Config{MemSize: 1 << 16, MaxCycles: 1 << 16})
+			c.noCache = noCache
+			if err := c.Load(img); err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			return c, renderOutcome(c, c.Run())
+		}
+		cached, got := run(false)
+		bypass, want := run(true)
+		if got != want {
+			t.Fatalf("outcome with the cache:\n%s\nbypassed:\n%s", got, want)
+		}
+		if cached.regs != bypass.regs || cached.flags != bypass.flags ||
+			cached.pc != bypass.pc || cached.halted != bypass.halted {
+			t.Fatalf("state with the cache: regs %v flags %+v pc %#x halted %v\nbypassed: regs %v flags %+v pc %#x halted %v",
+				cached.regs, cached.flags, cached.pc, cached.halted,
+				bypass.regs, bypass.flags, bypass.pc, bypass.halted)
+		}
+		if cached.Console() != bypass.Console() || !reflect.DeepEqual(cached.Stats(), bypass.Stats()) {
+			t.Fatalf("console or Stats differ: %q vs %q", cached.Console(), bypass.Console())
+		}
+	})
 }
