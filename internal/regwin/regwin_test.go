@@ -324,3 +324,97 @@ func TestSaveBytes(t *testing.T) {
 		t.Fatalf("SaveBytes = %d, want 64 (16 registers)", SaveBytes)
 	}
 }
+
+// TestAddressingMatchesPhysIndex pins the hot-path addressing to the
+// reference mapping: at every step of a push/pop/spill/fill walk that wraps
+// the physical file several times in both directions, Get reads and Set
+// writes exactly the slot PhysIndex names, and r0 reads zero and writes
+// nowhere.
+func TestAddressingMatchesPhysIndex(t *testing.T) {
+	for _, n := range []int{3, 4, 5, 8, 16} {
+		f := New(n)
+		if got, want := f.TotalPhys(), isa.NumGlobalRegs+isa.WindowRegs*n; got != want {
+			t.Fatalf("n=%d: TotalPhys() = %d, want %d", n, got, want)
+		}
+		d := &driver{f: f}
+		r := rand.New(rand.NewSource(int64(n)))
+		step := 0
+		check := func() {
+			t.Helper()
+			step++
+			total := f.TotalPhys()
+			for reg := uint8(0); reg < 32; reg++ {
+				if got, want := f.Get(reg), f.GetIn(f.CWP(), reg); got != want {
+					t.Fatalf("n=%d step %d cwp %d: Get(r%d) = %#x, GetIn = %#x", n, step, f.CWP(), reg, got, want)
+				}
+				before := append([]uint32(nil), f.phys[:total]...)
+				v := ^f.Get(reg)
+				f.Set(reg, v)
+				slot := -1
+				if reg != 0 {
+					slot = f.PhysIndex(f.CWP(), reg)
+				}
+				for i, old := range before {
+					if i == slot {
+						if f.phys[i] != v {
+							t.Fatalf("n=%d step %d: Set(r%d) left phys[%d] = %#x, want %#x", n, step, reg, i, f.phys[i], v)
+						}
+					} else if f.phys[i] != old {
+						t.Fatalf("n=%d step %d: Set(r%d) changed phys[%d], want only phys[%d]", n, step, reg, i, slot)
+					}
+				}
+				if reg == 0 && f.Get(0) != 0 {
+					t.Fatalf("n=%d step %d: Get(0) = %#x after Set(0)", n, step, f.Get(0))
+				}
+			}
+		}
+		// slot is the physical window a logical one occupies; counting its
+		// wraps from N−1 to 0 (and back) proves the walk crossed the end of
+		// the file.
+		slot := func(w int) int { return ((w % n) + n) % n }
+		downWraps, upWraps := 0, 0
+		// extra spills and fills the walk may make on its own, beyond what
+		// the driver's calls and returns force.
+		churn := func() {
+			switch r.Intn(4) {
+			case 0:
+				if f.Spilled() < f.CWP() {
+					d.stack = append(d.stack, f.SpillOldest())
+					check()
+				}
+			case 1:
+				if f.Spilled() > 0 && f.CWP()-f.Spilled()+2 <= n-1 {
+					f.FillNewest(d.stack[len(d.stack)-1])
+					d.stack = d.stack[:len(d.stack)-1]
+					check()
+				}
+			}
+		}
+		check()
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 2*n+1; i++ {
+				before := slot(f.CWP())
+				d.call()
+				if slot(f.CWP()) < before {
+					downWraps++
+				}
+				check()
+				churn()
+			}
+			for f.CWP() > 0 {
+				before := slot(f.CWP())
+				d.ret()
+				if slot(f.CWP()) > before {
+					upWraps++
+				}
+				check()
+				churn()
+			}
+		}
+		if downWraps < 2 || upWraps < 2 {
+			t.Fatalf("n=%d: walk wrapped the file %d times calling and %d returning, want at least 2 each", n, downWraps, upWraps)
+		}
+		f.Reset()
+		check()
+	}
+}
