@@ -10,10 +10,12 @@
 package risc1_test
 
 import (
+	"context"
 	"testing"
 
 	"risc1"
 	"risc1/internal/exp"
+	"risc1/internal/prog"
 )
 
 // BenchmarkE1InstructionMix regenerates the dynamic instruction-usage table
@@ -167,6 +169,50 @@ func BenchmarkE11MeasuredPipeline(b *testing.B) {
 		b.ReportMetric(res.CPIDelayed, "cpi-delayed")
 		b.ReportMetric(res.DelayedAdvPct, "delayed-adv-%")
 	}
+}
+
+// BenchmarkSuiteRun is the engine's end-to-end workload: one op runs the 13
+// suite kernels on the windowed machine and the 3 parallel kernels on 4 SMP
+// cores through RunImage, as the benchmark module's suite-run workload does.
+// Images are compiled, and checked once against their expected consoles,
+// before the timer starts. ns/sim-instr divides the wall time by every
+// instruction the op retired, on all cores.
+func BenchmarkSuiteRun(b *testing.B) {
+	type run struct {
+		img   *risc1.Image
+		cores int
+	}
+	var runs []run
+	add := func(bs []prog.Benchmark, cores int) {
+		for _, k := range bs {
+			img, err := risc1.CompileToImage(k.Source, risc1.RISCWindowed)
+			if err != nil {
+				b.Fatalf("%s: %v", k.Name, err)
+			}
+			info, err := risc1.RunImage(context.Background(), img, risc1.RunOptions{Cores: cores})
+			if err != nil {
+				b.Fatalf("%s: %v", k.Name, err)
+			}
+			if want := prog.Expected(k.Name); info.Console != want {
+				b.Fatalf("%s: console %q, want %q", k.Name, info.Console, want)
+			}
+			runs = append(runs, run{img, cores})
+		}
+	}
+	add(prog.All(), 0)
+	add(prog.Parallel(), 4)
+	b.ResetTimer()
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		for _, r := range runs {
+			info, err := risc1.RunImage(context.Background(), r.img, risc1.RunOptions{Cores: r.cores})
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs += info.Instructions
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/sim-instr")
 }
 
 // TestExperimentIDsAllRunnable checks that every advertised experiment ID

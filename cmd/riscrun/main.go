@@ -75,7 +75,7 @@ func writeProfile(path string, engine risc1.Engine, info *risc1.RunInfo) error {
 func main() {
 	target := flag.String("target", "windowed", "machine for .cm sources: windowed, flat, cisc or pipelined")
 	policyFlag := flag.String("policy", "delayed", "control-transfer policy for -target pipelined: delayed or squash")
-	windows := flag.Int("windows", 0, "register windows for .s sources (0 = 8)")
+	windows := flag.Int("windows", 0, "register windows for .s sources: 0 for 8, else at least 3")
 	flat := flag.Bool("flat", false, "disable register windows for .s sources")
 	stats := flag.Bool("stats", false, "print execution statistics")
 	trace := flag.Int("trace", 0, "print the first N executed instructions (.s sources)")
@@ -89,6 +89,10 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: riscrun [-target T] [-stats] prog.cm|prog.s")
+		os.Exit(2)
+	}
+	if *windows != 0 && *windows < 3 {
+		fmt.Fprintf(os.Stderr, "riscrun: -windows %d: a windowed machine needs at least 3 windows (0 = the paper's 8)\n", *windows)
 		os.Exit(2)
 	}
 	path := flag.Arg(0)

@@ -307,6 +307,46 @@ int main() {
 	}
 }
 
+// TestRiscrunRejectsFewWindows checks that a register file too small to
+// window is a usage error (exit 2), not a panic, and that the smallest legal
+// one runs.
+func TestRiscrunRejectsFewWindows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests compile the tools")
+	}
+	// go run reports every failure as exit 1, so build the binary to see
+	// its own status.
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "riscrun")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/riscrun").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	s := filepath.Join(dir, "p.s")
+	if err := os.WriteFile(s, []byte("main: ret r25,#8\n nop\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(w string) (string, int) {
+		var stderr strings.Builder
+		cmd := exec.Command(bin, "-windows", w, s)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if err != nil && !errors.As(err, &ee) {
+			t.Fatal(err)
+		}
+		return stderr.String(), cmd.ProcessState.ExitCode()
+	}
+	for _, w := range []string{"1", "2", "-1"} {
+		stderr, code := run(w)
+		if code != 2 || strings.Contains(stderr, "panic") || !strings.Contains(stderr, "at least 3 windows") {
+			t.Errorf("riscrun -windows %s: exit %d, want a usage error with exit 2\n%s", w, code, stderr)
+		}
+	}
+	if stderr, code := run("3"); code != 0 {
+		t.Errorf("riscrun -windows 3: exit %d\n%s", code, stderr)
+	}
+}
+
 // TestCompilerLintFlags checks the -lint pass-through on ccm and riscasm:
 // ccm surfaces the analyzer's recursion info on stderr without failing the
 // compile, and riscasm fails on an error-severity hazard.

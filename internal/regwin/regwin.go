@@ -42,18 +42,48 @@ const SaveBytes = isa.WindowRegs * 4
 // w mod N. The invariant maintained between spilled and cwp is
 // cwp − spilled ≤ N−2: trying to push past that must first SpillOldest, and
 // popping below spilled must first FillNewest.
+//
+// Like the hardware's register decoder, Get and Set resolve a visible
+// register with no compare chain and no modulo: regClass names the
+// register's class, and the class's entry in rbase (reads) or wbase
+// (writes) is the offset that turns the register number into its physical
+// index. Only the LOW/LOCAL and HIGH entries depend on the window, so a
+// call or return rewrites two entries of each table, and the tables are the
+// same size whatever N.
 type File struct {
 	n       int
-	phys    []uint32
-	cwp     int // logical index of the current window
-	spilled int // logical index of the oldest resident window
+	phys    []uint32 // 10 + 16·N registers, then the r0 write sink
+	cwp     int      // logical index of the current window
+	spilled int      // logical index of the oldest resident window
 
-	// curBase and prevBase cache physBase(cwp) and physBase(cwp-1). Get and
-	// Set sit on the simulator's hot path, and physBase needs a modulo; the
-	// bases only change on push/pop/reset, so they are maintained there.
-	curBase  int
-	prevBase int
+	rbase, wbase [numClasses]int
 }
+
+// Register classes, as regClass assigns them.
+const (
+	classZero   = iota // r0: reads phys[0], which nothing writes; writes go to the sink
+	classGlobal        // r1–r9: phys[r] in every window
+	classLow           // r10–r25: LOW and LOCAL, in the current window's slot
+	classHigh          // r26–r31: HIGH, the caller's LOW
+	numClasses
+)
+
+// regClass is the class of each visible register.
+var regClass = func() (c [32]uint8) {
+	for r := range c {
+		switch {
+		case r == 0:
+			c[r] = classZero
+		case r < isa.NumGlobalRegs:
+			c[r] = classGlobal
+		case r < isa.FirstHigh:
+			c[r] = classLow
+		default:
+			c[r] = classHigh
+		}
+	}
+	return c
+}()
 
 // New returns a register file with the given number of hardware windows.
 // The minimum is 3: the current window, one window of overlap slack, and one
@@ -62,25 +92,30 @@ func New(windows int) *File {
 	if windows < 3 {
 		panic(fmt.Sprintf("regwin: need at least 3 windows, got %d", windows))
 	}
+	total := isa.NumGlobalRegs + isa.WindowRegs*windows
 	f := &File{
 		n:    windows,
-		phys: make([]uint32, isa.NumGlobalRegs+isa.WindowRegs*windows),
+		phys: make([]uint32, total+1),
 	}
-	f.rebase()
+	f.wbase[classZero] = total // the sink: r0 + total
+	f.setWindow()
 	return f
 }
 
-// rebase recomputes the cached window bases after cwp changes.
-func (f *File) rebase() {
-	f.curBase = f.physBase(f.cwp)
-	f.prevBase = f.physBase(f.cwp - 1)
+// setWindow points the LOW/LOCAL entries at cwp's slot and the HIGH
+// entries at the slot below it, which holds the caller's LOW.
+func (f *File) setWindow() {
+	f.rbase[classLow] = f.physBase(f.cwp) - isa.FirstLow
+	f.rbase[classHigh] = f.physBase(f.cwp-1) - isa.FirstHigh
+	f.wbase[classLow] = f.rbase[classLow]
+	f.wbase[classHigh] = f.rbase[classHigh]
 }
 
 // Windows returns the number of hardware windows N.
 func (f *File) Windows() int { return f.n }
 
 // TotalPhys returns the number of physical registers (10 + 16·N).
-func (f *File) TotalPhys() int { return len(f.phys) }
+func (f *File) TotalPhys() int { return len(f.phys) - 1 }
 
 // CWP returns the logical index of the current window.
 func (f *File) CWP() int { return f.cwp }
@@ -120,34 +155,20 @@ func (f *File) PhysIndex(window int, r uint8) int {
 	}
 }
 
-// Get reads visible register r in the current window. r0 reads as zero.
-// This is the simulator's single hottest function, so it indexes through
-// the cached bases rather than PhysIndex.
+// Get reads visible register r (taken mod 32, like the 5-bit field it comes
+// from) in the current window. r0 reads as zero. This is the simulator's
+// single hottest function, so it is one table lookup and one add.
 func (f *File) Get(r uint8) uint32 {
-	switch {
-	case r == 0:
-		return 0
-	case r < isa.NumGlobalRegs:
-		return f.phys[r]
-	case r < isa.FirstHigh: // LOW and LOCAL
-		return f.phys[f.curBase+int(r)-isa.FirstLow]
-	default: // HIGH: shared with the caller's LOW
-		return f.phys[f.prevBase+int(r)-isa.FirstHigh]
-	}
+	r &= 31
+	// The mask changes no class; it lets the compiler drop the bounds check.
+	return f.phys[f.rbase[regClass[r]&(numClasses-1)]+int(r)]
 }
 
-// Set writes visible register r in the current window. Writes to r0 are
-// discarded, as on the hardware.
+// Set writes visible register r (taken mod 32) in the current window.
+// Writes to r0 are discarded, as on the hardware.
 func (f *File) Set(r uint8, v uint32) {
-	switch {
-	case r == 0:
-	case r < isa.NumGlobalRegs:
-		f.phys[r] = v
-	case r < isa.FirstHigh:
-		f.phys[f.curBase+int(r)-isa.FirstLow] = v
-	default:
-		f.phys[f.prevBase+int(r)-isa.FirstHigh] = v
-	}
+	r &= 31
+	f.phys[f.wbase[regClass[r]&(numClasses-1)]+int(r)] = v
 }
 
 // GetIn reads register r as seen from an explicit logical window. Used by
@@ -171,8 +192,7 @@ func (f *File) PushWindow() {
 		panic("regwin: window overflow not handled before PushWindow")
 	}
 	f.cwp++
-	f.prevBase = f.curBase
-	f.curBase = f.physBase(f.cwp)
+	f.setWindow()
 }
 
 // NeedFill reports whether a return (PopWindow) would land in a window that
@@ -185,8 +205,7 @@ func (f *File) PopWindow() {
 		panic("regwin: window underflow not handled before PopWindow")
 	}
 	f.cwp--
-	f.curBase = f.prevBase
-	f.prevBase = f.physBase(f.cwp - 1)
+	f.setWindow()
 }
 
 // numLocal is the count of LOCAL registers (r16–r25) in a save image.
@@ -229,9 +248,7 @@ func (f *File) FillNewest(save WindowSave) {
 // Reset returns the file to power-on state: window 0 current, all registers
 // zero.
 func (f *File) Reset() {
-	for i := range f.phys {
-		f.phys[i] = 0
-	}
+	clear(f.phys)
 	f.cwp, f.spilled = 0, 0
-	f.rebase()
+	f.setWindow()
 }

@@ -659,7 +659,9 @@ func ciscInfo(m *cisc.CPU, img *cisc.Image) *RunInfo {
 
 // MachineConfig sizes an assembly-level RISC I machine.
 type MachineConfig struct {
-	Windows   int  // register windows (0 = the paper's 8)
+	// Windows is the number of register windows: 0 for the paper's 8,
+	// otherwise at least 3 (NewMachine panics below that).
+	Windows   int
 	Flat      bool // disable window sliding
 	MemSize   int  // RAM bytes (0 = 1 MiB)
 	MaxCycles uint64
