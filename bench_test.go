@@ -11,6 +11,7 @@ package risc1_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"risc1"
@@ -213,6 +214,44 @@ func BenchmarkSuiteRun(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/sim-instr")
+}
+
+// BenchmarkCompile is the compiler's end-to-end workload: one op compiles
+// the 16 kernels (the 13 suite kernels and the 3 parallel kernels), each with
+// a fresh unused global appended as the benchmark module's compile workload
+// salts them, for the windowed machine and — except the parallel kernels,
+// which only the windowed target accepts — for CISC, and lints every image.
+func BenchmarkCompile(b *testing.B) {
+	type kernel struct {
+		src      string
+		parallel bool
+	}
+	var kernels []kernel
+	for _, k := range prog.All() {
+		kernels = append(kernels, kernel{k.Source, false})
+	}
+	for _, k := range prog.Parallel() {
+		kernels = append(kernels, kernel{k.Source, true})
+	}
+	b.ReportAllocs()
+	salt := uint64(0)
+	for i := 0; i < b.N; i++ {
+		for _, k := range kernels {
+			salt++
+			src := k.src + fmt.Sprintf("\nint bench_salt_%016x;\n", salt)
+			targets := []risc1.Target{risc1.RISCWindowed, risc1.CISC}
+			if k.parallel {
+				targets = targets[:1]
+			}
+			for _, target := range targets {
+				img, err := risc1.CompileToImage(src, target)
+				if err != nil {
+					b.Fatal(err)
+				}
+				risc1.LintImage(img, risc1.LintOptions{})
+			}
+		}
+	}
 }
 
 // TestExperimentIDsAllRunnable checks that every advertised experiment ID
