@@ -10,6 +10,7 @@ import (
 
 	"risc1"
 	"risc1/internal/core"
+	"risc1/internal/prog"
 )
 
 // TestImageCompileOnceRunMany pins the serving layer's foundation: one
@@ -243,4 +244,28 @@ func BenchmarkRunImageHot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestDisassembleDeterministic checks listings do not depend on map order:
+// labels that share an address (in compiled code, __data_start and the
+// first global) must print in the same order on every call.
+func TestDisassembleDeterministic(t *testing.T) {
+	check := func(kernels []prog.Benchmark, targets ...risc1.Target) {
+		for _, k := range kernels {
+			for _, target := range targets {
+				img, err := risc1.CompileToImage(k.Source, target)
+				if err != nil {
+					t.Fatalf("%s on %v: %v", k.Name, target, err)
+				}
+				first := img.Disassemble()
+				for i := 0; i < 20; i++ {
+					if img.Disassemble() != first {
+						t.Fatalf("%s on %v: listing changed between calls", k.Name, target)
+					}
+				}
+			}
+		}
+	}
+	check(prog.All(), risc1.RISCWindowed, risc1.CISC)
+	check(prog.Parallel(), risc1.RISCWindowed) // spawn/join need the windowed target
 }

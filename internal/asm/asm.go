@@ -6,9 +6,11 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"risc1/internal/isa"
 )
@@ -187,11 +189,18 @@ type assembler struct {
 	// srcLine carries the current text line's ";@line N" marker (0 = none)
 	// into the items it emits.
 	srcLine int
+	// opBuf and partBuf back each statement's operand list and its text
+	// fields; neither outlives the statement, so one buffer serves every
+	// line.
+	opBuf   [3]operand
+	partBuf [3]string
 }
 
 // Assemble runs both passes over src and returns the linked image.
 func Assemble(src string) (*Image, error) {
 	a := &assembler{symbols: map[string]uint32{}, equs: map[string]int64{}}
+	// One line emits at most two items (li/la), and most emit one.
+	a.items = make([]item, 0, strings.Count(src, "\n")+1)
 	a.parse(src)
 	if len(a.errs) > 0 {
 		return nil, a.errs
@@ -219,10 +228,11 @@ func (a *assembler) errorf(format string, args ...any) {
 // ---------- pass 1: parse ----------
 
 func (a *assembler) parse(src string) {
-	for n, raw := range strings.Split(src, "\n") {
-		a.line = n + 1
+	for n, more := 1, true; more; n++ {
+		var line string
+		line, src, more = strings.Cut(src, "\n")
+		a.line = n
 		a.srcLine = 0
-		line := raw
 		if i := indexOutsideQuotes(line, ";"); i >= 0 {
 			a.srcLine = parseLineMarker(line[i+1:])
 			line = line[:i]
@@ -329,12 +339,12 @@ func (a *assembler) parseOperands(rest string) ([]operand, bool) {
 	if rest == "" {
 		return nil, true
 	}
-	parts, err := splitCommas(rest)
+	parts, err := splitCommas(a.partBuf[:0], rest)
 	if err != nil {
 		a.errorf("%v", err)
 		return nil, false
 	}
-	ops := make([]operand, 0, len(parts))
+	ops := a.opBuf[:0]
 	for _, p := range parts {
 		op, err := a.parseOperand(p)
 		if err != nil {
@@ -434,6 +444,10 @@ func (a *assembler) symExpr(sym string, off int64) (expr, error) {
 	return expr{sym: sym, off: off}, nil
 }
 
+// errNotNumber rejects, without a strconv round trip, text that cannot
+// start a number: parseExpr tries every symbol as a number first.
+var errNotNumber = errors.New("not a number")
+
 func parseInt(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	neg := false
@@ -441,10 +455,18 @@ func parseInt(s string) (int64, error) {
 		neg = true
 		s = s[1:]
 	}
+	if s == "" {
+		return 0, errNotNumber
+	}
+	switch c := s[0]; {
+	case isDigit(c) || c == '+' || c == '-':
+	case c > ' ' && c < utf8.RuneSelf:
+		return 0, errNotNumber // printable ASCII that cannot start a number
+	}
 	v, err := strconv.ParseUint(strings.TrimSpace(s), 0, 32)
 	if err != nil {
 		// Also allow full-range negative decimals like -2147483648.
-		if w, err2 := strconv.ParseInt(s, 0, 64); err2 == nil && w <= 1<<32 {
+		if w, err2 := strconv.ParseInt(s, 0, 64); err2 == nil && w < 1<<32 {
 			v = uint64(w)
 		} else {
 			return 0, err
@@ -480,6 +502,19 @@ func charLit(s string) (int64, error) {
 }
 
 func regNum(s string) (uint8, bool) {
+	// Direct path for r0-r31 as the compiler writes them, and a quick no for
+	// anything starting with another printable ASCII byte (a symbol).
+	switch {
+	case len(s) == 2 && s[0] == 'r' && isDigit(s[1]):
+		return s[1] - '0', true
+	case len(s) == 3 && s[0] == 'r' && s[1] >= '1' && s[1] <= '3' && isDigit(s[2]):
+		if n := 10*(s[1]-'0') + s[2] - '0'; n <= 31 {
+			return n, true
+		}
+		return 0, false
+	case s != "" && s[0] > ' ' && s[0] < utf8.RuneSelf && s[0] != 'r' && s[0] != 'R':
+		return 0, false
+	}
 	s = strings.ToLower(strings.TrimSpace(s))
 	if len(s) < 2 || s[0] != 'r' {
 		return 0, false
@@ -490,6 +525,8 @@ func regNum(s string) (uint8, bool) {
 	}
 	return uint8(n), true
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isIdent(s string) bool {
 	if s == "" {
@@ -514,8 +551,8 @@ func isIdent(s string) bool {
 	return true
 }
 
-func splitCommas(s string) ([]string, error) {
-	var parts []string
+// splitCommas appends the top-level comma-separated fields of s to parts.
+func splitCommas(parts []string, s string) ([]string, error) {
 	depth, start, inQuote := 0, 0, byte(0)
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -548,6 +585,9 @@ func splitCommas(s string) ([]string, error) {
 }
 
 func indexOutsideQuotes(s, sub string) int {
+	if strings.IndexByte(s, '"') < 0 && strings.IndexByte(s, '\'') < 0 {
+		return strings.Index(s, sub)
+	}
 	inQuote := byte(0)
 	for i := 0; i+len(sub) <= len(s); i++ {
 		c := s[i]

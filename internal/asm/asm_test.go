@@ -299,3 +299,24 @@ func TestMovCmpNop(t *testing.T) {
 		t.Errorf("nop = %v", np)
 	}
 }
+
+// TestNumbersStopAt32Bits checks a literal must fit 32 bits: 2^32 used to
+// pass the bound and wrap to 0.
+func TestNumbersStopAt32Bits(t *testing.T) {
+	img := MustAssemble(".word 4294967295, -2147483648\n")
+	if got := img.Bytes; string(got) != "\xff\xff\xff\xff\x80\x00\x00\x00" {
+		t.Errorf("largest literals assembled to % x", got)
+	}
+	for _, src := range []string{
+		".word 4294967296",
+		".word -4294967296",
+		"li #4294967296,r10",
+		"add r0,#4294967296,r1",
+		".word 0x100000000",
+		".equ big, 4294967296",
+	} {
+		if _, err := Assemble(src); err == nil {
+			t.Errorf("%q assembled", src)
+		}
+	}
+}

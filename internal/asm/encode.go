@@ -2,6 +2,7 @@ package asm
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"risc1/internal/isa"
@@ -182,10 +183,14 @@ func putWord(b []byte, v uint32) {
 // Disassemble renders an image's words as assembly with addresses, for
 // riscdis and debugging. Data is shown as .word directives.
 func Disassemble(img *Image) string {
-	// Invert the symbol table for labels.
+	// Invert the symbol table for labels, sorting the names that share an
+	// address so the listing is the same on every call.
 	labels := map[uint32][]string{}
 	for name, addr := range img.Symbols {
 		labels[addr] = append(labels[addr], name)
+	}
+	for _, names := range labels {
+		sort.Strings(names)
 	}
 	var b strings.Builder
 	for off := 0; off+4 <= len(img.Bytes); off += 4 {

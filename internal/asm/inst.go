@@ -264,7 +264,7 @@ func (a *assembler) directive(name, rest string) {
 			a.errorf(".entry: bad symbol %q", rest)
 		}
 	case ".equ":
-		parts, _ := splitCommas(rest)
+		parts, _ := splitCommas(nil, rest)
 		if len(parts) != 2 || !isIdent(strings.TrimSpace(parts[0])) {
 			a.errorf(".equ needs name, value")
 			return
@@ -281,7 +281,7 @@ func (a *assembler) directive(name, rest string) {
 		}
 		a.equs[name] = v
 	case ".word":
-		parts, _ := splitCommas(rest)
+		parts, _ := splitCommas(nil, rest)
 		var words []expr
 		for _, p := range parts {
 			e, err := a.parseExpr(strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(p), "#")))
@@ -297,7 +297,7 @@ func (a *assembler) directive(name, rest string) {
 		if name == ".byte" {
 			size = 1
 		}
-		parts, _ := splitCommas(rest)
+		parts, _ := splitCommas(nil, rest)
 		var data []byte
 		for _, p := range parts {
 			e, err := a.parseExpr(strings.TrimSpace(p))

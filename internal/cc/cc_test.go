@@ -396,6 +396,18 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestNumberLiteralRange checks literals run up to the 32-bit pattern
+// 2^32-1 and stop there: 2^32 used to pass the bound and wrap to 0.
+func TestNumberLiteralRange(t *testing.T) {
+	checkAll(t, "int main() { putint(4294967295); putchar(' '); putint(0xffffffff); return 0; }", "-1 -1")
+	for _, lit := range []string{"4294967296", "0x100000000", "99999999999"} {
+		_, err := cc.Compile("int main() { putint("+lit+"); return 0; }", cc.Options{Target: cc.RISCWindowed})
+		if err == nil || !strings.Contains(err.Error(), "bad number "+lit) {
+			t.Errorf("%s: err = %v, want bad number", lit, err)
+		}
+	}
+}
+
 func TestDelaySlotOptimizerCounts(t *testing.T) {
 	src := `
 int fib(int n) {

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,7 +21,7 @@ type ciscGen struct {
 	out  strings.Builder
 
 	fn        *FuncDecl
-	body      []string
+	body      bytes.Buffer     // the function's instructions, one a line
 	localReg  map[*VarDecl]int // r2..r11
 	localOff  map[*VarDecl]int // frameAlloc offset (block below fp)
 	memBytes  int
@@ -35,10 +36,15 @@ type ciscGen struct {
 }
 
 func (g *ciscGen) emit(format string, args ...any) {
-	g.body = append(g.body, "\t"+fmt.Sprintf(format, args...))
+	g.body.WriteByte('\t')
+	fmt.Fprintf(&g.body, format, args...)
+	g.body.WriteByte('\n')
 }
 
-func (g *ciscGen) label(l string) { g.body = append(g.body, l+":") }
+func (g *ciscGen) label(l string) {
+	g.body.WriteString(l)
+	g.body.WriteString(":\n")
+}
 
 func (g *ciscGen) newLabel(hint string) string {
 	g.labelN++
@@ -64,7 +70,7 @@ func (g *ciscGen) slotSpec(slot int) string { return scalarSpec(g.memBytes + 4*s
 
 func (g *ciscGen) genFunc(fn *FuncDecl) error {
 	g.fn = fn
-	g.body = nil
+	g.body.Reset()
 	g.localReg = map[*VarDecl]int{}
 	g.localOff = map[*VarDecl]int{}
 	g.memBytes = 0
@@ -144,10 +150,7 @@ func (g *ciscGen) genFunc(fn *FuncDecl) error {
 			fmt.Fprintf(&g.out, "\tmovl %s, %s\n", src, scalarSpec(g.localOff[p]))
 		}
 	}
-	for _, line := range g.body {
-		g.out.WriteString(line)
-		g.out.WriteByte('\n')
-	}
+	g.out.Write(g.body.Bytes())
 	g.out.WriteString("\tret\n")
 	return nil
 }

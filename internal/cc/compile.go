@@ -61,14 +61,12 @@ func Compile(src string, opts Options) (*Result, error) {
 	}
 	switch opts.Target {
 	case RISCWindowed, RISCFlat, RISCPipelined:
-		text, err := generateRISC(prog, opts.Target != RISCFlat, !opts.WideData)
+		text, _, err := generateRISC(prog, opts.Target != RISCFlat, !opts.WideData)
 		if err != nil {
 			return nil, err
 		}
-		res := &Result{Asm: text}
-		if !opts.NoDelaySlotFill {
-			res.Asm, res.SlotsFilled = OptimizeDelaySlots(text)
-		}
+		res := &Result{}
+		res.Asm, res.SlotsFilled = fillSlots(text, opts)
 		return res, nil
 	case CISC:
 		text, err := GenerateCISC(prog)

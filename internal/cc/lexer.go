@@ -70,7 +70,7 @@ var punct2 = []string{
 
 // lex tokenizes src.
 func lex(src string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(src)/2+1) // Cm runs 2-3 source bytes a token
 	line := 1
 	i := 0
 	for i < len(src) {
@@ -104,7 +104,7 @@ func lex(src string) ([]token, error) {
 			}
 			text := src[i:j]
 			v, err := strconv.ParseInt(text, 0, 64)
-			if err != nil || v > 1<<32 {
+			if err != nil || v >= 1<<32 { // 32-bit patterns only: 2^32 would wrap to 0
 				return nil, &CompileError{Line: line, Msg: "bad number " + text}
 			}
 			toks = append(toks, token{tokNumber, text, v, line})

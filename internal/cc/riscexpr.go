@@ -73,6 +73,7 @@ func storeOp(size int) string {
 // global pointer when gp addressing is on, otherwise a full la pair.
 func (g *riscGen) emitSymAddr(sym string, r uint8) {
 	if g.useGP {
+		g.noteGP(sym)
 		g.emit("add r%d,#%s-%d,r%d", GPReg, sym, gpAnchor, r)
 	} else {
 		g.emit("la %s,r%d", sym, r)
@@ -91,8 +92,9 @@ func (g *riscGen) genLoadVar(v *VarDecl) (tref, error) {
 			return t, nil // the array's value is its address
 		}
 		if g.useGP {
-			g.emit("%s (r%d)#%s-%d,r%d", loadOp(v.Type.Size()),
-				GPReg, globalLabel(v), gpAnchor, r)
+			sym := globalLabel(v)
+			g.noteGP(sym)
+			g.emit("%s (r%d)#%s-%d,r%d", loadOp(v.Type.Size()), GPReg, sym, gpAnchor, r)
 			return t, nil
 		}
 		g.emit("la %s,r%d", globalLabel(v), r)
@@ -237,8 +239,9 @@ func (g *riscGen) genStoreVal(lv Expr, rhs Expr, wantValue bool) (tref, error) {
 		if x.Decl.Type.Kind == TypeChar {
 			g.emit("and r%d,#255,r%d", rv, rv)
 		}
-		g.emit("%s r%d,(r%d)#%s-%d", storeOp(x.Decl.Type.Size()),
-			g.reg(t), GPReg, globalLabel(x.Decl), gpAnchor)
+		sym := globalLabel(x.Decl)
+		g.noteGP(sym)
+		g.emit("%s r%d,(r%d)#%s-%d", storeOp(x.Decl.Type.Size()), g.reg(t), GPReg, sym, gpAnchor)
 		if wantValue {
 			return t, nil
 		}

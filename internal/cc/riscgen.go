@@ -1,7 +1,9 @@
 package cc
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -16,12 +18,21 @@ func fmt2(format string, args ...any) string { return fmt.Sprintf(format, args..
 // The emitted code leaves a NOP in every delayed-transfer slot;
 // OptimizeDelaySlots rewrites the text to fill the slots it can.
 func GenerateRISC(prog *Program, windowed bool) (string, error) {
-	return generateRISC(prog, windowed, true)
+	text, _, err := generateRISC(prog, windowed, true)
+	return text, err
 }
 
-func generateRISC(prog *Program, windowed, useGP bool) (string, error) {
+// generateRISC is GenerateRISC with the addressing mode explicit. With
+// useGP, farData reports that the text addresses a data symbol through the
+// global pointer although the symbol cannot lie within its reach, so the
+// text cannot assemble and only its wide twin can (see gpFloors).
+func generateRISC(prog *Program, windowed, useGP bool) (text string, farData bool, err error) {
 	g := &riscGen{prog: prog, windowed: windowed, useGP: useGP}
-	return g.generate()
+	if useGP {
+		g.floors = gpFloors(prog)
+	}
+	text, err = g.generate()
+	return text, g.farData, err
 }
 
 // GPReg is the global-pointer register: anchored at address 4096 by the
@@ -32,6 +43,42 @@ const GPReg = 8
 
 // gpAnchor is the value the startup stub loads into GPReg.
 const gpAnchor = 4096
+
+// gpLimit is the first address a signed 13-bit displacement off gpAnchor
+// cannot reach.
+const gpLimit = gpAnchor + 1<<12
+
+// gpFloors maps each data label to a lower bound on its address. The data
+// section follows the code (the image starts at 0), each global then each
+// string literal in order, every one padded to 4 bytes; an initializer never
+// emits fewer bytes than its type's size, so the sum of the padded sizes
+// declared before a symbol bounds its address from below.
+//
+// It returns nil, so that nothing is judged out of reach, in two cases
+// where the narrow text's failure would not be a plain range error: a
+// function named __start clashes with the startup stub's label, and data
+// past 2 GiB could wrap the assembler's 32-bit addresses.
+func gpFloors(prog *Program) map[string]int {
+	for _, fn := range prog.Funcs {
+		if fn.Name == "__start" {
+			return nil
+		}
+	}
+	floors := make(map[string]int, len(prog.Globals)+len(prog.Strings))
+	addr := 0
+	for _, v := range prog.Globals {
+		floors[globalLabel(v)] = addr
+		addr += (v.Type.Size() + 3) &^ 3
+	}
+	for i, s := range prog.Strings {
+		floors[".Lstr"+strconv.Itoa(i)] = addr
+		addr += (len(s) + 1 + 3) &^ 3
+	}
+	if addr >= 1<<31 {
+		return nil
+	}
+	return floors
+}
 
 // Calling-convention register assignments.
 type riscConv struct {
@@ -81,12 +128,17 @@ type riscGen struct {
 	prog     *Program
 	windowed bool
 	useGP    bool
-	conv     riscConv
-	out      strings.Builder
+	// floors bounds each data symbol's address from below (gpFloors);
+	// farData records a gp-relative reference to a symbol at or past
+	// gpLimit.
+	floors  map[string]int
+	farData bool
+	conv    riscConv
+	out     strings.Builder
 
 	// per-function state
 	fn        *FuncDecl
-	body      []string
+	body      bytes.Buffer // the function's instructions, one a line
 	localReg  map[*VarDecl]uint8
 	localOff  map[*VarDecl]int
 	memBytes  int // frame bytes used by memory locals
@@ -114,14 +166,26 @@ type riscGen struct {
 type tref int
 
 func (g *riscGen) emit(format string, args ...any) {
-	s := "\t" + fmt.Sprintf(format, args...)
+	g.body.WriteByte('\t')
+	fmt.Fprintf(&g.body, format, args...)
 	if g.curLine > 0 {
-		s += fmt.Sprintf(" ;@line %d", g.curLine)
+		g.body.WriteString(" ;@line ")
+		g.body.Write(strconv.AppendInt(g.body.AvailableBuffer(), int64(g.curLine), 10))
 	}
-	g.body = append(g.body, s)
+	g.body.WriteByte('\n')
 }
 
-func (g *riscGen) label(l string) { g.body = append(g.body, l+":") }
+// noteGP records a gp-relative reference to the data symbol sym.
+func (g *riscGen) noteGP(sym string) {
+	if g.floors[sym] >= gpLimit {
+		g.farData = true
+	}
+}
+
+func (g *riscGen) label(l string) {
+	g.body.WriteString(l)
+	g.body.WriteString(":\n")
+}
 
 func (g *riscGen) newLabel(hint string) string {
 	g.labelN++
@@ -180,7 +244,7 @@ func errorAt(line int, format string, args ...any) error {
 
 func (g *riscGen) genFunc(fn *FuncDecl) error {
 	g.fn = fn
-	g.body = nil
+	g.body.Reset()
 	g.curLine = fn.Line
 	g.localReg = map[*VarDecl]uint8{}
 	g.localOff = map[*VarDecl]int{}
@@ -306,10 +370,7 @@ func (g *riscGen) genFunc(fn *FuncDecl) error {
 			}
 		}
 	}
-	for _, line := range g.body {
-		g.out.WriteString(line)
-		g.out.WriteByte('\n')
-	}
+	g.out.Write(g.body.Bytes())
 	// Epilogue.
 	for i, r := range g.savedRegs {
 		fmt.Fprintf(&g.out, "\tldl (r%d)#%d,r%d\n", sp, saveBase+4*i, r)

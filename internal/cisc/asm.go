@@ -1,9 +1,11 @@
 package cisc
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Image is an assembled CX program.
@@ -70,11 +72,15 @@ type casm struct {
 	pc      uint32
 	errs    []error
 	line    int
+	// partBuf backs each statement's operand fields, which do not outlive
+	// the statement.
+	partBuf [3]string
 }
 
 // Assemble builds a CX image from source.
 func Assemble(src string) (*Image, error) {
 	a := &casm{symbols: map[string]uint32{}, equs: map[string]int64{}}
+	a.items = make([]item, 0, strings.Count(src, "\n")+1) // at most one item a line
 	a.parse(src)
 	if len(a.errs) > 0 {
 		return nil, a.joined()
@@ -107,9 +113,10 @@ func (a *casm) errorf(format string, args ...any) {
 }
 
 func (a *casm) parse(src string) {
-	for n, raw := range strings.Split(src, "\n") {
-		a.line = n + 1
-		line := raw
+	for n, more := 1, true; more; n++ {
+		var line string
+		line, src, more = strings.Cut(src, "\n")
+		a.line = n
 		if i := indexOutsideQuotes(line, ';'); i >= 0 {
 			line = line[:i]
 		}
@@ -189,7 +196,7 @@ func (a *casm) statement(line string) {
 	info := opTable[op]
 	var parts []string
 	if rest != "" {
-		parts = splitTop(rest)
+		parts = splitTop(a.partBuf[:0], rest)
 	}
 	if len(parts) != len(info.operands) {
 		a.errorf("%s takes %d operands, got %d", op, len(info.operands), len(parts))
@@ -375,11 +382,18 @@ func (a *casm) parseExpr(s string) (expr, error) {
 	return expr{}, fmt.Errorf("cannot parse expression %q", s)
 }
 
+// errNotNumber rejects, without a strconv round trip, text that cannot be
+// a number: parseExpr tries every symbol as a number first.
+var errNotNumber = errors.New("not a number")
+
 func parseNum(s string) (int64, error) {
 	neg := false
 	if strings.HasPrefix(s, "-") {
 		neg = true
 		s = strings.TrimSpace(s[1:])
+	}
+	if s == "" || s[0] < '0' || s[0] > '9' {
+		return 0, errNotNumber // every number starts with a digit
 	}
 	v, err := strconv.ParseUint(s, 0, 32)
 	if err != nil {
@@ -393,6 +407,20 @@ func parseNum(s string) (int64, error) {
 }
 
 func regName(s string) (uint8, bool) {
+	// Direct path for rN as the compiler writes it, and a quick no for
+	// operands that start with another printable ASCII byte (#imm, @abs,
+	// d(rN), symbols) and so cannot name a register.
+	switch {
+	case len(s) == 2 && s[0] == 'r' && s[1] >= '0' && s[1] <= '9':
+		return s[1] - '0', true
+	case len(s) == 3 && s[0] == 'r' && s[1] >= '1' && s[1] <= '9' && s[2] >= '0' && s[2] <= '9':
+		if n := 10*(s[1]-'0') + s[2] - '0'; n < NumRegs {
+			return n, true
+		}
+		return 0, false
+	case s != "" && s[0] > ' ' && s[0] < utf8.RuneSelf && strings.IndexByte("rRaAfFsS", s[0]) < 0:
+		return 0, false
+	}
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "ap":
 		return AP, true
@@ -453,6 +481,9 @@ func splitFirst(line string) (string, string) {
 // indexOutsideQuotes finds the first occurrence of c outside string or
 // character literals (so ';' inside ".asciz" data is not a comment).
 func indexOutsideQuotes(s string, c byte) int {
+	if strings.IndexByte(s, '"') < 0 && strings.IndexByte(s, '\'') < 0 {
+		return strings.IndexByte(s, c)
+	}
 	inQuote := byte(0)
 	for i := 0; i < len(s); i++ {
 		ch := s[i]
@@ -475,9 +506,9 @@ func indexOutsideQuotes(s string, c byte) int {
 	return -1
 }
 
-// splitTop splits on commas outside brackets/parens/quotes.
-func splitTop(s string) []string {
-	var parts []string
+// splitTop appends the fields of s, split on commas outside
+// brackets/parens/quotes, to parts.
+func splitTop(parts []string, s string) []string {
 	depth, start := 0, 0
 	inQuote := byte(0)
 	for i := 0; i < len(s); i++ {

@@ -2,6 +2,7 @@ package cisc
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -11,9 +12,14 @@ import (
 // discovered iteratively from the image entry point and the targets of
 // decoded CALLS instructions. Undecodable bytes print as .byte directives.
 func Disassemble(img *Image) string {
+	// Invert the symbol table for labels, sorting the names that share an
+	// address so the listing is the same on every call.
 	labels := map[uint32][]string{}
 	for name, addr := range img.Symbols {
 		labels[addr] = append(labels[addr], name)
+	}
+	for _, names := range labels {
+		sort.Strings(names)
 	}
 	starts := map[uint32]bool{img.Entry: true}
 	var out string

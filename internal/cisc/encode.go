@@ -27,7 +27,7 @@ func (a *casm) directive(name, rest string) {
 			a.errorf(".entry: bad symbol %q", rest)
 		}
 	case ".equ":
-		parts := splitTop(rest)
+		parts := splitTop(nil, rest)
 		if len(parts) != 2 || !isIdent(strings.TrimSpace(parts[0])) {
 			a.errorf(".equ needs name, value")
 			return
@@ -40,7 +40,7 @@ func (a *casm) directive(name, rest string) {
 		a.equs[strings.TrimSpace(parts[0])] = v
 	case ".word":
 		var words []expr
-		for _, p := range splitTop(rest) {
+		for _, p := range splitTop(nil, rest) {
 			e, err := a.parseExpr(strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(p), "#")))
 			if err != nil {
 				a.errorf(".word: %v", err)
@@ -51,7 +51,7 @@ func (a *casm) directive(name, rest string) {
 		a.add(item{words: words})
 	case ".byte":
 		var data []byte
-		for _, p := range splitTop(rest) {
+		for _, p := range splitTop(nil, rest) {
 			e, err := a.parseExpr(strings.TrimSpace(p))
 			if err != nil || !e.isNum() {
 				a.errorf(".byte: bad value %q", p)
@@ -92,7 +92,7 @@ func (a *casm) directive(name, rest string) {
 		// for each rN the procedure preserves. ".mask" alone saves none.
 		var mask uint16
 		if strings.TrimSpace(rest) != "" {
-			for _, p := range splitTop(rest) {
+			for _, p := range splitTop(nil, rest) {
 				r, ok := regName(strings.TrimSpace(p))
 				if !ok || r >= 12 {
 					a.errorf(".mask: bad register %q (r0..r11 only)", p)

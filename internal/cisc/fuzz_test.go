@@ -3,7 +3,13 @@ package cisc
 import (
 	"math/rand"
 	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
+
+	"risc1/internal/cc"
+	"risc1/internal/prog"
 )
 
 // TestRandomBytesNeverPanic feeds CX random byte streams as code. The
@@ -188,4 +194,135 @@ func FuzzCXPredecode(f *testing.F) {
 			t.Fatalf("console or Stats differ: %q vs %q", cached.Console(), bypass.Console())
 		}
 	})
+}
+
+// bigLiteral finds numeric literals; bigLayout uses it.
+var bigLiteral = regexp.MustCompile(`[0-9][0-9A-Za-z_]*`)
+
+// bigLayout reports whether src could ask for a huge image: a .space or
+// .align with a literal of 64 KiB or more. The assembler builds such images
+// faithfully, so the fuzzer leaves them alone to bound memory.
+func bigLayout(src string) bool {
+	low := strings.ToLower(src)
+	if !strings.Contains(low, ".space") && !strings.Contains(low, ".align") {
+		return false
+	}
+	for _, lit := range bigLiteral.FindAllString(src, -1) {
+		if v, err := strconv.ParseUint(lit, 0, 64); (err != nil && len(lit) > 4) || v >= 1<<16 {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzAssemble feeds the CX assembler arbitrary text. No input may panic it,
+// and on every line and comma-separated field the lexical fast paths must
+// agree with the plain strconv/strings forms kept below. Seeds are the
+// compiler's output for small kernels, cut into 24-line pieces: the fuzzer's
+// minimizer is quadratic in input length. Run with
+// `go test -fuzz=FuzzAssemble ./internal/cisc`.
+func FuzzAssemble(f *testing.F) {
+	for _, name := range []string{"fib", "acker", "hanoi", "search"} {
+		k, _ := prog.ByName(name)
+		res, err := cc.Compile(k.Source, cc.Options{Target: cc.CISC})
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines := strings.SplitAfter(res.Asm, "\n")
+		for i := 0; i < len(lines); i += 24 {
+			f.Add(strings.Join(lines[i:min(i+24, len(lines))], ""))
+		}
+	}
+	f.Add(".org 0x40\nmain: .mask R2, r3\n\tMOVL #-5, R1 ; x\n\tmovl 4(ap), r14\n\tmovl @cell+4, (r1)[r15]\ncell: .word 4294967295, -7\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<11 || bigLayout(src) {
+			return
+		}
+		if img, err := Assemble(src); err == nil {
+			Disassemble(img)
+		}
+		for _, line := range strings.Split(src, "\n") {
+			for _, c := range []byte{';', ':', ','} {
+				if got, want := indexOutsideQuotes(line, c), refIndexOutsideQuotes(line, c); got != want {
+					t.Fatalf("indexOutsideQuotes(%q, %q) = %d, want %d", line, c, got, want)
+				}
+			}
+			for _, field := range append(strings.Split(line, ","), line) {
+				for _, s := range []string{field, strings.TrimSpace(field), strings.TrimLeft(strings.TrimSpace(field), "#@")} {
+					gv, gerr := parseNum(s)
+					wv, werr := refParseNum(s)
+					if gv != wv || (gerr == nil) != (werr == nil) {
+						t.Fatalf("parseNum(%q) = %d, %v; want %d, %v", s, gv, gerr, wv, werr)
+					}
+					gr, gok := regName(s)
+					wr, wok := refRegName(s)
+					if gr != wr || gok != wok {
+						t.Fatalf("regName(%q) = %d, %v; want %d, %v", s, gr, gok, wr, wok)
+					}
+				}
+			}
+		}
+	})
+}
+
+// refParseNum is parseNum without the early rejection of non-numbers.
+func refParseNum(s string) (int64, error) {
+	neg := false
+	if strings.HasPrefix(s, "-") {
+		neg = true
+		s = strings.TrimSpace(s[1:])
+	}
+	v, err := strconv.ParseUint(s, 0, 32)
+	if err != nil {
+		return 0, err
+	}
+	n := int64(v)
+	if neg {
+		n = -n
+	}
+	return n, nil
+}
+
+// refRegName is regName without the direct path.
+func refRegName(s string) (uint8, bool) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "ap":
+		return AP, true
+	case "fp":
+		return FP, true
+	case "sp":
+		return SP, true
+	}
+	s = strings.ToLower(strings.TrimSpace(s))
+	if len(s) >= 2 && s[0] == 'r' {
+		n, err := strconv.Atoi(s[1:])
+		if err == nil && n >= 0 && n < NumRegs {
+			return uint8(n), true
+		}
+	}
+	return 0, false
+}
+
+// refIndexOutsideQuotes is indexOutsideQuotes without the quote-free path.
+func refIndexOutsideQuotes(s string, c byte) int {
+	inQuote := byte(0)
+	for i := 0; i < len(s); i++ {
+		ch := s[i]
+		if inQuote != 0 {
+			if ch == '\\' {
+				i++
+			} else if ch == inQuote {
+				inQuote = 0
+			}
+			continue
+		}
+		if ch == '"' || ch == '\'' {
+			inQuote = ch
+			continue
+		}
+		if ch == c {
+			return i
+		}
+	}
+	return -1
 }

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"risc1/internal/asm"
 	"risc1/internal/cc"
 	"risc1/internal/cisc"
 	"risc1/internal/core"
@@ -98,14 +97,13 @@ func armFault(m *mem.Memory, plan *mem.FaultPlan) {
 // ExecuteContext is Execute honoring ctx: cancellation or deadline expiry
 // aborts the simulation at the next run-batch boundary.
 func ExecuteContext(ctx context.Context, b prog.Benchmark, target cc.Target, opt Options) (*Run, error) {
-	res, err := cc.Compile(b.Source, cc.Options{Target: target, NoDelaySlotFill: opt.NoDelayFill})
-	if err != nil {
-		return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-	}
-	run := &Run{Bench: b, Target: target, SlotsFilled: res.SlotsFilled, Engine: opt.Engine}
-
+	run := &Run{Bench: b, Target: target, Engine: opt.Engine}
 	switch target {
 	case cc.CISC:
+		res, err := cc.Compile(b.Source, cc.Options{Target: target})
+		if err != nil {
+			return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
+		}
 		img, err := cisc.Assemble(res.Asm)
 		if err != nil {
 			return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
@@ -124,26 +122,11 @@ func ExecuteContext(ctx context.Context, b prog.Benchmark, target cc.Target, opt
 		run.Seconds = m.Time()
 		run.Console = m.Console()
 	default:
-		img, err := asm.Assemble(res.Asm)
+		img, slots, err := cc.BuildRISC(b.Source, cc.Options{Target: target, NoDelaySlotFill: opt.NoDelayFill})
 		if err != nil {
-			// Programs whose data exceeds the global pointer's 8 KiB
-			// window fail the 13-bit range check; recompile with full
-			// 32-bit addressing. Any other assembly error is genuine
-			// and reported as-is.
-			if !asm.IsOutOfRange(err) {
-				return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-			}
-			res, err = cc.Compile(b.Source, cc.Options{
-				Target: target, NoDelaySlotFill: opt.NoDelayFill, WideData: true})
-			if err != nil {
-				return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-			}
-			run.SlotsFilled = res.SlotsFilled
-			img, err = asm.Assemble(res.Asm)
-			if err != nil {
-				return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-			}
+			return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
 		}
+		run.SlotsFilled = slots
 		run.CodeBytes, run.DataBytes = split(img.Symbols, img.Org, len(img.Bytes))
 		cfg := core.Config{
 			Flat:           target == cc.RISCFlat,

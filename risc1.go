@@ -325,7 +325,7 @@ func CompileToImage(source string, target Target) (*Image, error) {
 		}
 		return &Image{target: target, cisc: ci}, nil
 	}
-	ri, err := compileRISC(source, target)
+	ri, _, err := cc.BuildRISC(source, cc.Options{Target: target})
 	if err != nil {
 		return nil, err
 	}
@@ -544,27 +544,6 @@ func runSMP(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error) {
 		info.Races = m.Races()
 	}
 	return info, nil
-}
-
-// compileRISC compiles and assembles a Cm program for a RISC target. When
-// assembly fails only because a value outran its immediate field — a program
-// whose data exceeds the global pointer's 8 KiB reach — it recompiles once
-// with full 32-bit addressing. Any other assembly error is returned as-is:
-// retrying could only mask the genuine diagnostic behind a second compile.
-func compileRISC(source string, target Target) (*asm.Image, error) {
-	res, err := cc.Compile(source, cc.Options{Target: target})
-	if err != nil {
-		return nil, err
-	}
-	img, err := asm.Assemble(res.Asm)
-	if err == nil || !asm.IsOutOfRange(err) {
-		return img, err
-	}
-	res, werr := cc.Compile(source, cc.Options{Target: target, WideData: true})
-	if werr != nil {
-		return nil, err // report the original, narrow-addressing failure
-	}
-	return asm.Assemble(res.Asm)
 }
 
 func riscInfo(m *core.CPU, imageBytes int) *RunInfo {
@@ -792,22 +771,11 @@ func Disassemble(source string) (string, error) {
 // share BuildAndRun's wide-addressing fallback, so any program that runs
 // also disassembles.
 func CompileAndDisassemble(source string, target Target) (string, error) {
-	if target == CISC {
-		res, err := cc.Compile(source, cc.Options{Target: target})
-		if err != nil {
-			return "", err
-		}
-		img, err := cisc.Assemble(res.Asm)
-		if err != nil {
-			return "", err
-		}
-		return cisc.Disassemble(img), nil
-	}
-	img, err := compileRISC(source, target)
+	img, err := CompileToImage(source, target)
 	if err != nil {
 		return "", err
 	}
-	return asm.Disassemble(img), nil
+	return img.Disassemble(), nil
 }
 
 // Diagnostic is one static-analysis finding; see package lint.
