@@ -257,8 +257,9 @@ type BlockProfile struct {
 	Trace bool   `json:"trace"`
 }
 
-// NGramCount is one measured dynamic opcode n-gram — the profile the
-// trace tier's instruction-fusion repertoire grows from.
+// NGramCount is one measured dynamic opcode n-gram: block heat times the
+// block's static opcode sequence, an observability surface showing which
+// instruction sequences run hottest.
 type NGramCount struct {
 	Ops   []string `json:"ops"`
 	Count uint64   `json:"count"`
