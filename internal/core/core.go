@@ -236,8 +236,7 @@ type CPU struct {
 	// instructions in execution order, at addresses pc, pc+4, ..., and
 	// taken reports whether the run's control transfer (if it retired one)
 	// was taken. Step reports each instruction as a run of one; the block
-	// engine reports a whole block, one self-loop iteration, or the
-	// retired prefix of a block stopped early (a fault, a store into its
+	// engine reports a whole block or the retired prefix of a block stopped early (a fault, a store into its
 	// own code, a halt or MaxCycles). An instruction that faults is never
 	// reported. While it is installed the trace tier stands down, since
 	// superblocks do not expose their retirements; blocks still run.
@@ -503,15 +502,15 @@ func (c *CPU) runSlice(budget int, useBlocks, useTraces bool) (int, error) {
 			}
 		}
 		if b, w := c.nextBlock(budget); b != nil {
-			n, err := c.runBlock(w, b, budget)
+			err := c.runBlock(w, b)
 			if useTraces {
-				c.bumpHeat(w, b, n)
+				c.bumpHeat(w)
 			}
-			executed += n
+			executed += b.nInst
 			if err != nil {
 				return executed, err
 			}
-			budget -= n
+			budget -= b.nInst
 			continue
 		}
 		if err := c.Step(); err != nil {
