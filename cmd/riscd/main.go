@@ -10,8 +10,8 @@
 // Usage:
 //
 //	riscd [-addr :8049] [-workers N] [-queue N] [-max-cycles N]
-//	      [-max-cores N] [-timeout D] [-cache N] [-cache-shards N]
-//	      [-stream-interval D] [-drain D]
+//	      [-max-cores N] [-timeout D] [-cache N] [-stream-interval D]
+//	      [-drain D]
 //
 // On SIGINT/SIGTERM the server drains: /healthz flips to 503, new work is
 // refused, in-flight runs get the drain grace to finish and are then
@@ -43,12 +43,11 @@ func main() {
 	maxCores := flag.Int("max-cores", serve.DefaultMaxCores, "shared-memory core ceiling per run (negative disables multi-core)")
 	timeout := flag.Duration("timeout", serve.DefaultTimeout, "per-run wall-clock deadline ceiling")
 	cache := flag.Int("cache", serve.DefaultCacheEntries, "compiled-image cache entries (negative disables)")
-	cacheShards := flag.Int("cache-shards", serve.DefaultCacheShards, "lock stripes in the compiled-image cache")
 	streamInterval := flag.Duration("stream-interval", serve.DefaultStreamInterval, "stats-frame sampling interval on /v1/run/stream")
 	drain := flag.Duration("drain", 5*time.Second, "shutdown grace before in-flight runs are canceled")
 	flag.Parse()
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: riscd [-addr A] [-workers N] [-queue N] [-max-cycles N] [-max-cores N] [-timeout D] [-cache N] [-cache-shards N] [-stream-interval D] [-drain D]")
+		fmt.Fprintln(os.Stderr, "usage: riscd [-addr A] [-workers N] [-queue N] [-max-cycles N] [-max-cores N] [-timeout D] [-cache N] [-stream-interval D] [-drain D]")
 		os.Exit(2)
 	}
 
@@ -59,7 +58,6 @@ func main() {
 		MaxCores:       *maxCores,
 		Timeout:        *timeout,
 		CacheEntries:   *cache,
-		CacheShards:    *cacheShards,
 		StreamInterval: *streamInterval,
 	})
 

@@ -55,44 +55,6 @@ func BenchmarkServeRunCached(b *testing.B) {
 	}
 }
 
-// benchCacheParallel hammers an imageCache with the serving layer's access
-// pattern — overwhelmingly hits, spread over a working set of hot keys —
-// from GOMAXPROCS goroutines. This isolates the cache's lock from the
-// simulation cost, which is what the shards=1 vs shards=N comparison needs:
-// under /v1/run traffic the lock cost hides inside run latency; here it IS
-// the latency.
-func benchCacheParallel(b *testing.B, nShards int) {
-	c := newImageCache(DefaultCacheEntries, nShards)
-	img := mustImage(b, benchSrc)
-	const hotKeys = 64
-	keys := make([]cacheKey, hotKeys)
-	for i := range keys {
-		keys[i] = imageKey("cm", 0, fmt.Sprint(i))
-		c.add(keys[i], img)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			k := keys[i%hotKeys]
-			i++
-			if _, ok := c.get(k); !ok {
-				c.add(k, img)
-			}
-		}
-	})
-}
-
-// BenchmarkImageCacheParallelSingleLock is the pre-sharding layout: one
-// mutex in front of every lookup. The CI capacity gate asserts the sharded
-// variant beats this under parallel load.
-func BenchmarkImageCacheParallelSingleLock(b *testing.B) { benchCacheParallel(b, 1) }
-
-// BenchmarkImageCacheParallelSharded is the production layout
-// (DefaultCacheShards lock stripes).
-func BenchmarkImageCacheParallelSharded(b *testing.B) { benchCacheParallel(b, DefaultCacheShards) }
-
 // BenchmarkServeRunParallel measures cached req/s with concurrent clients
 // saturating the worker pool (RunParallel drives GOMAXPROCS client procs).
 func BenchmarkServeRunParallel(b *testing.B) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"sync"
 
 	"risc1"
@@ -24,27 +23,12 @@ func imageKey(lang string, target risc1.Target, source string) cacheKey {
 	return k
 }
 
-// imageCache is a concurrency-safe LRU of compiled images, lock-striped into
-// independent shards. Images are immutable (running one copies its bytes
-// into a fresh machine), so a cached image can be handed to any number of
-// concurrent runs. This is the serving layer's RISC move: the common case —
-// compile-once, run-many benchmark traffic — skips the compiler entirely.
-//
-// Why shards: with one mutex, every request on a loaded pool serializes on
-// the cache lookup even when the simulation work is perfectly parallel
-// (an LRU get is a write — it reorders the recency list). Striping by the
-// content hash gives N independent locks with no cross-shard invariants:
-// a key lives in exactly one shard, so hit/miss/eviction behavior per key
-// is identical to the single-lock cache. The same keying is what lets
-// multiple riscd processes behind a load balancer partition compiled-image
-// state: route (or replicate) by the same hash and no two processes need
-// to agree on recency.
+// imageCache is a concurrency-safe LRU of compiled images behind one mutex.
+// Images are immutable (running one copies its bytes into a fresh machine),
+// so a cached image can be handed to any number of concurrent runs. This is
+// the serving layer's RISC move: the common case — compile-once, run-many
+// benchmark traffic — skips the compiler entirely.
 type imageCache struct {
-	shards []cacheShard
-}
-
-// cacheShard is one stripe: a self-contained single-lock LRU.
-type cacheShard struct {
 	mu      sync.Mutex
 	max     int
 	order   *list.List // front = most recently used; values are *cacheEntry
@@ -58,104 +42,54 @@ type cacheEntry struct {
 	img *risc1.Image
 }
 
-// newImageCache builds a cache holding up to max images across nShards
-// lock stripes; max <= 0 disables caching (every lookup misses) and
-// nShards <= 1 degrades to the single-lock layout.
-func newImageCache(max, nShards int) *imageCache {
-	if nShards < 1 || max <= 0 {
-		nShards = 1
+// newImageCache builds a cache holding up to max images; max <= 0 disables
+// caching (every lookup misses).
+func newImageCache(max int) *imageCache {
+	return &imageCache{
+		max:     max,
+		order:   list.New(),
+		entries: map[cacheKey]*list.Element{},
 	}
-	perShard := max
-	if max > 0 {
-		// Ceiling split so total capacity is never below the configured max.
-		perShard = (max + nShards - 1) / nShards
-	}
-	c := &imageCache{shards: make([]cacheShard, nShards)}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			max:     perShard,
-			order:   list.New(),
-			entries: map[cacheKey]*list.Element{},
-		}
-	}
-	return c
-}
-
-// shard routes a key to its stripe. The key is a sha256, so any fixed four
-// bytes of it are uniformly distributed; modulo keeps non-power-of-two
-// shard counts balanced too.
-func (c *imageCache) shard(k cacheKey) *cacheShard {
-	if len(c.shards) == 1 {
-		return &c.shards[0]
-	}
-	return &c.shards[binary.BigEndian.Uint32(k[:4])%uint32(len(c.shards))]
 }
 
 // get returns the cached image for k, refreshing its recency.
 func (c *imageCache) get(k cacheKey) (*risc1.Image, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[k]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[k]
 	if !ok {
-		s.misses++
+		c.misses++
 		return nil, false
 	}
-	s.hits++
-	s.order.MoveToFront(el)
+	c.hits++
+	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).img, true
 }
 
-// add inserts an image, evicting the least recently used entry of its shard
-// when the shard is full.
+// add inserts an image, evicting the least recently used entry when the
+// cache is full.
 func (c *imageCache) add(k cacheKey, img *risc1.Image) {
-	s := c.shard(k)
-	if s.max <= 0 {
+	if c.max <= 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[k]; ok { // raced with another compile of the same source
-		s.order.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok { // raced with another compile of the same source
+		c.order.MoveToFront(el)
 		el.Value.(*cacheEntry).img = img
 		return
 	}
-	s.entries[k] = s.order.PushFront(&cacheEntry{key: k, img: img})
-	for s.order.Len() > s.max {
-		last := s.order.Back()
-		s.order.Remove(last)
-		delete(s.entries, last.Value.(*cacheEntry).key)
+	c.entries[k] = c.order.PushFront(&cacheEntry{key: k, img: img})
+	for c.order.Len() > c.max {
+		last := c.order.Back()
+		c.order.Remove(last)
+		delete(c.entries, last.Value.(*cacheEntry).key)
 	}
 }
 
-// stats returns the hit/miss counters and current size aggregated across
-// shards.
+// stats returns the hit/miss counters and current size.
 func (c *imageCache) stats() (hits, misses uint64, size int) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		hits += s.hits
-		misses += s.misses
-		size += s.order.Len()
-		s.mu.Unlock()
-	}
-	return hits, misses, size
-}
-
-// shardStat is one stripe's sample for the per-shard /metrics series.
-type shardStat struct {
-	hits, misses uint64
-	entries      int
-}
-
-// shardStats samples every stripe, in shard order.
-func (c *imageCache) shardStats() []shardStat {
-	out := make([]shardStat, len(c.shards))
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		out[i] = shardStat{hits: s.hits, misses: s.misses, entries: s.order.Len()}
-		s.mu.Unlock()
-	}
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses, c.order.Len()
 }

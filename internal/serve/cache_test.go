@@ -20,9 +20,7 @@ func mustImage(t testing.TB, src string) *risc1.Image {
 // TestImageCacheLRU pins eviction order: the least recently used entry goes
 // first, and a get refreshes recency.
 func TestImageCacheLRU(t *testing.T) {
-	// One shard so the three keys share an LRU list and eviction order is
-	// deterministic regardless of how the hashes would stripe.
-	c := newImageCache(2, 1)
+	c := newImageCache(2)
 	imgA := mustImage(t, "int main() { putint(1); return 0; }")
 	kA := imageKey("cm", risc1.RISCWindowed, "a")
 	kB := imageKey("cm", risc1.RISCWindowed, "b")
@@ -54,7 +52,7 @@ func TestImageCacheLRU(t *testing.T) {
 
 // TestImageCacheDisabled checks max <= 0 never stores.
 func TestImageCacheDisabled(t *testing.T) {
-	c := newImageCache(0, 8)
+	c := newImageCache(0)
 	k := imageKey("cm", risc1.RISCWindowed, "x")
 	c.add(k, mustImage(t, "int main() { return 0; }"))
 	if _, ok := c.get(k); ok {
@@ -83,7 +81,7 @@ func TestImageCacheKeyDisambiguates(t *testing.T) {
 // TestImageCacheConcurrent hammers one small cache from many goroutines;
 // meaningful under -race.
 func TestImageCacheConcurrent(t *testing.T) {
-	c := newImageCache(3, 1)
+	c := newImageCache(3)
 	img := mustImage(t, "int main() { return 0; }")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -101,77 +99,5 @@ func TestImageCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if _, _, size := c.stats(); size > 3 {
 		t.Errorf("cache grew past max: %d", size)
-	}
-}
-
-// TestImageCacheSharded checks the striped layout: keys spread across more
-// than one stripe, per-shard samples sum to the aggregate, and every key
-// stays retrievable — striping must not change per-key behavior.
-func TestImageCacheSharded(t *testing.T) {
-	c := newImageCache(64, 8)
-	if got := len(c.shards); got != 8 {
-		t.Fatalf("shards = %d, want 8", got)
-	}
-	img := mustImage(t, "int main() { return 0; }")
-	keys := make([]cacheKey, 32)
-	for i := range keys {
-		keys[i] = imageKey("cm", risc1.RISCWindowed, fmt.Sprint(i))
-		c.add(keys[i], img)
-	}
-	for i, k := range keys {
-		if _, ok := c.get(k); !ok {
-			t.Errorf("key %d missing after add", i)
-		}
-		if got, want := c.shard(k), c.shard(k); got != want {
-			t.Fatalf("key %d routed to two shards", i)
-		}
-	}
-	populated := 0
-	var sumHits, sumMisses uint64
-	sumEntries := 0
-	for _, sh := range c.shardStats() {
-		if sh.entries > 0 {
-			populated++
-		}
-		sumHits += sh.hits
-		sumMisses += sh.misses
-		sumEntries += sh.entries
-	}
-	// 32 sha256 keys across 8 stripes: all on one stripe would mean the
-	// router ignores the hash.
-	if populated < 2 {
-		t.Errorf("only %d of 8 shards populated by 32 keys", populated)
-	}
-	hits, misses, entries := c.stats()
-	if sumHits != hits || sumMisses != misses || sumEntries != entries {
-		t.Errorf("shardStats sums (%d/%d/%d) != stats (%d/%d/%d)",
-			sumHits, sumMisses, sumEntries, hits, misses, entries)
-	}
-	if hits != 32 || entries != 32 {
-		t.Errorf("hits/entries = %d/%d, want 32/32", hits, entries)
-	}
-}
-
-// TestImageCacheShardCapacity checks the ceiling split: total capacity is
-// never below the configured max, and each stripe still evicts at its own
-// bound.
-func TestImageCacheShardCapacity(t *testing.T) {
-	c := newImageCache(10, 4) // ceil(10/4) = 3 per shard
-	for i := range c.shards {
-		if got := c.shards[i].max; got != 3 {
-			t.Fatalf("shard %d max = %d, want 3", i, got)
-		}
-	}
-	img := mustImage(t, "int main() { return 0; }")
-	for i := 0; i < 100; i++ {
-		c.add(imageKey("cm", risc1.RISCWindowed, fmt.Sprint(i)), img)
-	}
-	if _, _, size := c.stats(); size > 12 {
-		t.Errorf("size = %d beyond total striped capacity 12", size)
-	}
-	for _, sh := range c.shardStats() {
-		if sh.entries > 3 {
-			t.Errorf("a shard grew past its bound: %d", sh.entries)
-		}
 	}
 }

@@ -214,7 +214,6 @@ type gauges struct {
 	cacheHits     uint64
 	cacheMisses   uint64
 	cacheEntries  int
-	cacheShards   []shardStat
 }
 
 // render writes the Prometheus text exposition. Output is deterministic
@@ -271,22 +270,6 @@ func (m *metrics) render(g gauges) string {
 	b.WriteString("# HELP riscd_image_cache_entries Compiled images currently cached.\n")
 	b.WriteString("# TYPE riscd_image_cache_entries gauge\n")
 	fmt.Fprintf(&b, "riscd_image_cache_entries %d\n", g.cacheEntries)
-
-	b.WriteString("# HELP riscd_image_cache_shard_hits_total Compiled-image cache hits, by lock stripe.\n")
-	b.WriteString("# TYPE riscd_image_cache_shard_hits_total counter\n")
-	for i, sh := range g.cacheShards {
-		fmt.Fprintf(&b, "riscd_image_cache_shard_hits_total{shard=\"%d\"} %d\n", i, sh.hits)
-	}
-	b.WriteString("# HELP riscd_image_cache_shard_misses_total Compiled-image cache misses, by lock stripe.\n")
-	b.WriteString("# TYPE riscd_image_cache_shard_misses_total counter\n")
-	for i, sh := range g.cacheShards {
-		fmt.Fprintf(&b, "riscd_image_cache_shard_misses_total{shard=\"%d\"} %d\n", i, sh.misses)
-	}
-	b.WriteString("# HELP riscd_image_cache_shard_entries Compiled images currently cached, by lock stripe.\n")
-	b.WriteString("# TYPE riscd_image_cache_shard_entries gauge\n")
-	for i, sh := range g.cacheShards {
-		fmt.Fprintf(&b, "riscd_image_cache_shard_entries{shard=\"%d\"} %d\n", i, sh.entries)
-	}
 
 	b.WriteString("# HELP riscd_stream_active Streaming runs with an open /v1/run/stream connection.\n")
 	b.WriteString("# TYPE riscd_stream_active gauge\n")
