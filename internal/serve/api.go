@@ -47,31 +47,11 @@ type RunRequest struct {
 	Race bool `json:"race,omitempty"`
 }
 
-// RunResponse is the body of a successful POST /v1/run.
+// RunResponse is the body of a successful POST /v1/run: the console output
+// followed by the run's result fields, flattened into one JSON object.
 type RunResponse struct {
-	Console          string `json:"console"`
-	ConsoleTruncated bool   `json:"console_truncated,omitempty"`
-	Instructions     uint64 `json:"instructions"`
-	Cycles           uint64 `json:"cycles"`
-	SimNS            int64  `json:"sim_ns"` // simulated time at the paper's clock
-	CodeBytes        int    `json:"code_bytes"`
-	Calls            uint64 `json:"calls"`
-	MaxCallDepth     int    `json:"max_call_depth"`
-	WindowOverflows  uint64 `json:"window_overflows,omitempty"`
-	WindowUnderflows uint64 `json:"window_underflows,omitempty"`
-	// Cached reports the compiled image came from the server's LRU —
-	// the request skipped the compiler entirely.
-	Cached bool `json:"cached"`
-	// Pipeline carries the cycle-accurate model's CPI and stall breakdown.
-	// Present only for the "pipelined" target.
-	Pipeline *risc1.PipelineInfo `json:"pipeline,omitempty"`
-	// SMP carries the shared-memory machine's breakdown — makespan,
-	// contention charges, per-core stats. Present only when Cores > 1.
-	SMP *risc1.SMPInfo `json:"smp,omitempty"`
-	// Races lists the data races the dynamic detector observed. Present
-	// only when the request set Race; an empty list on such a run means
-	// the execution was race-free.
-	Races []risc1.Race `json:"races,omitempty"`
+	Console string `json:"console"`
+	StreamResult
 }
 
 // StreamStart is the first event on a /v1/run/stream response, emitted as
@@ -100,24 +80,53 @@ type StreamStats struct {
 	Cycles       uint64 `json:"cycles"`
 }
 
-// StreamResult is the terminal event of a successful streamed run: a
-// RunResponse minus Console, which has already been delivered chunk by
-// chunk. A failed run ends with an "error" event carrying an ErrorDetail
-// instead.
+// StreamResult is a run's result without its console: the terminal event of
+// a successful streamed run, whose console was already delivered chunk by
+// chunk, and everything in RunResponse after Console. A failed stream ends
+// with an "error" event carrying an ErrorDetail instead.
 type StreamResult struct {
-	ConsoleTruncated bool                `json:"console_truncated,omitempty"`
-	Instructions     uint64              `json:"instructions"`
-	Cycles           uint64              `json:"cycles"`
-	SimNS            int64               `json:"sim_ns"`
-	CodeBytes        int                 `json:"code_bytes"`
-	Calls            uint64              `json:"calls"`
-	MaxCallDepth     int                 `json:"max_call_depth"`
-	WindowOverflows  uint64              `json:"window_overflows,omitempty"`
-	WindowUnderflows uint64              `json:"window_underflows,omitempty"`
-	Cached           bool                `json:"cached"`
-	Pipeline         *risc1.PipelineInfo `json:"pipeline,omitempty"`
-	SMP              *risc1.SMPInfo      `json:"smp,omitempty"`
-	Races            []risc1.Race        `json:"races,omitempty"`
+	ConsoleTruncated bool   `json:"console_truncated,omitempty"`
+	Instructions     uint64 `json:"instructions"`
+	Cycles           uint64 `json:"cycles"`
+	SimNS            int64  `json:"sim_ns"` // simulated time at the paper's clock
+	CodeBytes        int    `json:"code_bytes"`
+	Calls            uint64 `json:"calls"`
+	MaxCallDepth     int    `json:"max_call_depth"`
+	WindowOverflows  uint64 `json:"window_overflows,omitempty"`
+	WindowUnderflows uint64 `json:"window_underflows,omitempty"`
+	// Cached reports the compiled image came from the server's LRU —
+	// the request skipped the compiler entirely.
+	Cached bool `json:"cached"`
+	// Pipeline carries the cycle-accurate model's CPI and stall breakdown.
+	// Present only for the "pipelined" target.
+	Pipeline *risc1.PipelineInfo `json:"pipeline,omitempty"`
+	// SMP carries the shared-memory machine's breakdown — makespan,
+	// contention charges, per-core stats. Present only when Cores > 1.
+	SMP *risc1.SMPInfo `json:"smp,omitempty"`
+	// Races lists the data races the dynamic detector observed. Present
+	// only when the request set Race; an empty list on such a run means
+	// the execution was race-free.
+	Races []risc1.Race `json:"races,omitempty"`
+}
+
+// runResult renders a finished run's result fields; cached reports whether
+// the image came from the LRU.
+func runResult(info *risc1.RunInfo, cached bool) StreamResult {
+	return StreamResult{
+		ConsoleTruncated: info.ConsoleTruncated,
+		Instructions:     info.Instructions,
+		Cycles:           info.Cycles,
+		SimNS:            info.Time.Nanoseconds(),
+		CodeBytes:        info.CodeBytes,
+		Calls:            info.Calls,
+		MaxCallDepth:     info.MaxCallDepth,
+		WindowOverflows:  info.WindowOverflows,
+		WindowUnderflows: info.WindowUnderflows,
+		Cached:           cached,
+		Pipeline:         info.Pipeline,
+		SMP:              info.SMP,
+		Races:            info.Races,
+	}
 }
 
 // LintRequest is the body of POST /v1/lint. Target additionally accepts

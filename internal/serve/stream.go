@@ -123,21 +123,7 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.recordRunInfo(p, info)
-		send(streamEvent{"result", StreamResult{
-			ConsoleTruncated: info.ConsoleTruncated,
-			Instructions:     info.Instructions,
-			Cycles:           info.Cycles,
-			SimNS:            info.Time.Nanoseconds(),
-			CodeBytes:        info.CodeBytes,
-			Calls:            info.Calls,
-			MaxCallDepth:     info.MaxCallDepth,
-			WindowOverflows:  info.WindowOverflows,
-			WindowUnderflows: info.WindowUnderflows,
-			Cached:           hit,
-			Pipeline:         info.Pipeline,
-			SMP:              info.SMP,
-			Races:            info.Races,
-		}})
+		send(streamEvent{"result", runResult(info, hit)})
 	}()
 
 	// Writer loop: drain until the simulation closes the channel. If the
