@@ -216,6 +216,47 @@ func BenchmarkSuiteRun(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/sim-instr")
 }
 
+// BenchmarkSuiteEngines runs the 13 suite kernels on the windowed machine
+// through RunImage under each engine tier, so the tiers can be ranked on the
+// suite rather than on one hot loop. Images are compiled, and checked once
+// against their expected consoles under every engine, before the timer
+// starts. ns/sim-instr divides the wall time by the instructions retired.
+func BenchmarkSuiteEngines(b *testing.B) {
+	var imgs []*risc1.Image
+	for _, k := range prog.All() {
+		img, err := risc1.CompileToImage(k.Source, risc1.RISCWindowed)
+		if err != nil {
+			b.Fatalf("%s: %v", k.Name, err)
+		}
+		imgs = append(imgs, img)
+	}
+	for _, e := range []risc1.Engine{risc1.EngineStep, risc1.EngineBlock, risc1.EngineTrace} {
+		opt := risc1.RunOptions{Engine: e}
+		for i, k := range prog.All() {
+			info, err := risc1.RunImage(context.Background(), imgs[i], opt)
+			if err != nil {
+				b.Fatalf("%s on %v: %v", k.Name, e, err)
+			}
+			if want := prog.Expected(k.Name); info.Console != want {
+				b.Fatalf("%s on %v: console %q, want %q", k.Name, e, info.Console, want)
+			}
+		}
+		b.Run(e.String(), func(b *testing.B) {
+			var instrs uint64
+			for i := 0; i < b.N; i++ {
+				for _, img := range imgs {
+					info, err := risc1.RunImage(context.Background(), img, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					instrs += info.Instructions
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/sim-instr")
+		})
+	}
+}
+
 // BenchmarkCompile is the compiler's end-to-end workload: one op compiles
 // the 16 kernels (the 13 suite kernels and the 3 parallel kernels), each with
 // a fresh unused global appended as the benchmark module's compile workload
