@@ -152,6 +152,10 @@ func TestE5WindowsCutCallTraffic(t *testing.T) {
 		t.Errorf("windows beat the flat convention on only %d/%d call-heavy kernels",
 			winsVsFlat, len(res.Rows))
 	}
+	// Calls, spills and fills all go through the register file, so its
+	// traffic counts are pinned: a faster regwin must render them byte for
+	// byte.
+	checkGolden(t, "e5", res.Table.Render())
 }
 
 func TestE6TrapRateFallsWithWindows(t *testing.T) {
@@ -179,6 +183,8 @@ func TestE6TrapRateFallsWithWindows(t *testing.T) {
 		t.Errorf("trap rate barely falls: %.2f%% at 3 vs %.2f%% at 8",
 			first.TrapPct, eight.TrapPct)
 	}
+	// Every trap count at N = 3..16 and every spill batch is pinned.
+	checkGolden(t, "e6", res.Table.Render())
 }
 
 func TestE7OptimizerSavesCycles(t *testing.T) {
@@ -309,14 +315,21 @@ func TestE11MeasuredPipeline(t *testing.T) {
 		t.Errorf("suite CPI: delayed %.3f > squash %.3f", res.CPIDelayed, res.CPISquash)
 	}
 	// Every simulated number in the table is pinned: a faster pipeline
-	// implementation must render it byte for byte. The golden is the
-	// output of `riscbench -exp E11` without its timing line.
-	golden, err := os.ReadFile("testdata/e11.golden")
+	// implementation must render it byte for byte.
+	checkGolden(t, "e11", res.Table.Render())
+}
+
+// checkGolden requires an experiment table to render byte for byte as
+// testdata/<name>.golden, the output of `riscbench -exp <NAME>` without its
+// timing line.
+func checkGolden(t *testing.T, name, tbl string) {
+	t.Helper()
+	golden, err := os.ReadFile("testdata/" + name + ".golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl := res.Table.Render(); strings.TrimRight(tbl, "\n") != strings.TrimRight(string(golden), "\n") {
-		t.Errorf("E11 table differs from testdata/e11.golden:\n got:\n%s\nwant:\n%s", tbl, golden)
+	if strings.TrimRight(tbl, "\n") != strings.TrimRight(string(golden), "\n") {
+		t.Errorf("table differs from testdata/%s.golden:\n got:\n%s\nwant:\n%s", name, tbl, golden)
 	}
 }
 
