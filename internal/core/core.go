@@ -207,7 +207,7 @@ type sharedCode struct {
 type CPU struct {
 	cfg  Config
 	Mem  *mem.Memory
-	Regs *regwin.File
+	Regs regwin.File
 
 	pc, npc uint32 // delayed-branch PC pair
 	lastPC  uint32 // previously executed instruction (GTLPC)
@@ -260,7 +260,7 @@ func New(cfg Config) *CPU {
 	c := &CPU{
 		cfg:        cfg,
 		Mem:        mem.New(cfg.MemSize),
-		Regs:       regwin.New(cfg.Windows),
+		Regs:       *regwin.New(cfg.Windows),
 		stat:       stats.New(),
 		sharedCode: &sharedCode{},
 	}

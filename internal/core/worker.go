@@ -20,7 +20,7 @@ func (c *CPU) NewWorker() *CPU {
 	w := &CPU{
 		cfg:        c.cfg,
 		Mem:        c.Mem,
-		Regs:       regwin.New(c.cfg.Windows),
+		Regs:       *regwin.New(c.cfg.Windows),
 		stat:       stats.New(),
 		sharedCode: c.sharedCode,
 		ie:         true,
