@@ -294,19 +294,3 @@ func BenchmarkCompile(b *testing.B) {
 		}
 	}
 }
-
-// TestExperimentIDsAllRunnable checks that every advertised experiment ID
-// renders without error through the public API (sharing one Lab so common
-// configurations simulate once).
-func TestExperimentIDsAllRunnable(t *testing.T) {
-	lab := risc1.NewLab()
-	for _, id := range risc1.ExperimentIDs() {
-		out, err := lab.Experiment(id)
-		if err != nil {
-			t.Fatalf("Experiment(%q): %v", id, err)
-		}
-		if out == "" {
-			t.Fatalf("Experiment(%q): empty output", id)
-		}
-	}
-}
