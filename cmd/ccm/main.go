@@ -33,7 +33,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	t, err := parseTarget(*target)
+	t, err := risc1.ParseTarget(*target)
 	if err != nil {
 		fatal(err)
 	}
@@ -61,23 +61,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-func parseTarget(s string) (risc1.Target, error) {
-	switch s {
-	case "windowed", "risc":
-		return risc1.RISCWindowed, nil
-	case "flat":
-		return risc1.RISCFlat, nil
-	case "cisc", "cx":
-		return risc1.CISC, nil
-	case "pipelined":
-		// Codegen-wise identical to windowed; the distinction matters to
-		// the execution layers (riscrun, riscd), which pick the
-		// cycle-accurate pipeline model for it.
-		return risc1.RISCPipelined, nil
-	}
-	return 0, fmt.Errorf("unknown target %q (want windowed, flat, cisc or pipelined)", s)
 }
 
 func fatal(err error) {

@@ -123,23 +123,15 @@ func languageOf(flagLang, file, src string) string {
 }
 
 func parseTarget(s string) (risc1.Target, risc1.LintOptions, error) {
-	switch s {
-	case "windowed", "risc":
-		return risc1.RISCWindowed, risc1.LintOptions{}, nil
-	case "flat":
-		return risc1.RISCFlat, risc1.LintOptions{}, nil
-	case "cisc", "cx":
-		return risc1.CISC, risc1.LintOptions{}, nil
-	case "pipelined":
-		// Lints under the windowed conventions: the pipeline target runs
-		// the same generated code, only the timing model differs.
-		return risc1.RISCPipelined, risc1.LintOptions{}, nil
-	case "smp":
+	if s == "smp" {
 		// The windowed convention with the concurrency passes forced on.
 		return risc1.RISCWindowed, risc1.LintOptions{SMP: true}, nil
 	}
-	return 0, risc1.LintOptions{}, fmt.Errorf(
-		"unknown target %q (want windowed, flat, cisc, pipelined or smp)", s)
+	t, err := risc1.ParseTarget(s)
+	if err != nil {
+		return 0, risc1.LintOptions{}, fmt.Errorf("%w, or smp", err)
+	}
+	return t, risc1.LintOptions{}, nil
 }
 
 func fatal(err error) {

@@ -149,17 +149,9 @@ func main() {
 			info.NGrams = append(m.HotNGrams(2, 8), m.HotNGrams(3, 8)...)
 		}
 	} else {
-		t := risc1.RISCWindowed
-		switch *target {
-		case "windowed", "risc":
-		case "flat":
-			t = risc1.RISCFlat
-		case "cisc", "cx":
-			t = risc1.CISC
-		case "pipelined":
-			t = risc1.RISCPipelined
-		default:
-			fatal(fmt.Errorf("unknown target %q", *target))
+		t, err := risc1.ParseTarget(*target)
+		if err != nil {
+			fatal(err)
 		}
 		img, err := risc1.CompileToImage(src, t)
 		if err != nil {

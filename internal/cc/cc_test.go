@@ -503,3 +503,28 @@ func randomExpr(r *rand.Rand, depth int) (string, int32) {
 		return fmt.Sprintf("(%s ^ %s)", a, b), av ^ bv
 	}
 }
+
+func TestParseTarget(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want cc.Target
+	}{
+		{"", cc.RISCWindowed},
+		{"windowed", cc.RISCWindowed},
+		{"risc", cc.RISCWindowed},
+		{"flat", cc.RISCFlat},
+		{"cisc", cc.CISC},
+		{"cx", cc.CISC},
+		{"pipelined", cc.RISCPipelined},
+	} {
+		got, err := cc.ParseTarget(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseTarget(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"smp", "Windowed", "risc-windowed", "vax"} {
+		if _, err := cc.ParseTarget(bad); err == nil || !strings.Contains(err.Error(), "unknown target") {
+			t.Errorf("ParseTarget(%q) error = %v, want unknown target", bad, err)
+		}
+	}
+}

@@ -34,6 +34,22 @@ func (t Target) String() string {
 	return fmt.Sprintf("target%d", int(t))
 }
 
+// ParseTarget maps the CLI/API spelling ("windowed" or "risc", "flat",
+// "cisc" or "cx", "pipelined", or empty for windowed) to a Target.
+func ParseTarget(s string) (Target, error) {
+	switch s {
+	case "", "windowed", "risc":
+		return RISCWindowed, nil
+	case "flat":
+		return RISCFlat, nil
+	case "cisc", "cx":
+		return CISC, nil
+	case "pipelined":
+		return RISCPipelined, nil
+	}
+	return 0, fmt.Errorf("unknown target %q (want windowed, flat, cisc or pipelined)", s)
+}
+
 // Options controls compilation.
 type Options struct {
 	Target Target

@@ -6,10 +6,9 @@ import (
 
 	"risc1/internal/asm"
 	"risc1/internal/cc"
-	"risc1/internal/core"
+	"risc1/internal/machine"
 	"risc1/internal/prog"
 	"risc1/internal/report"
-	"risc1/internal/smp"
 )
 
 // E12CoreCounts are the machine sizes the scalability sweep measures.
@@ -53,7 +52,7 @@ type E12Result struct {
 // core, total retirements, contention charges, and the E5 memory-traffic
 // totals under sharing. Each run's console output is checked against the
 // kernel's reference answer, so the table only ever shows correct
-// executions. The lab is unused — SMP machines are built directly — but
+// executions. The lab is unused — each run goes straight to package machine — but
 // the signature matches the other experiments for Render.
 func E12SMPScalability(_ *Lab) (*E12Result, error) {
 	res := &E12Result{Table: &report.Table{
@@ -77,29 +76,25 @@ func E12SMPScalability(_ *Lab) (*E12Result, error) {
 		row := E12Row{Name: b.Name}
 		var base uint64
 		for _, n := range E12CoreCounts {
-			m, err := smp.New(img, smp.Config{
-				Cores: n,
-				Core:  core.Config{SaveStackBytes: 64 << 10, Engine: core.EngineAuto},
+			r, err := machine.Run(context.Background(), machine.Image{RISC: img}, machine.Config{
+				Target: cc.RISCWindowed,
+				Cores:  n,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("E12: %s on %d cores: %w", b.Name, n, err)
 			}
-			if err := m.Run(context.Background()); err != nil {
-				return nil, fmt.Errorf("E12: %s on %d cores: %w", b.Name, n, err)
-			}
-			if got, want := m.Console(), prog.Expected(b.Name); got != want {
+			if got, want := r.Console, prog.Expected(b.Name); got != want {
 				return nil, fmt.Errorf("E12: %s on %d cores: console %q, want %q",
 					b.Name, n, got, want)
 			}
 			cell := E12Cell{
-				Cores:            n,
-				Elapsed:          m.Elapsed(),
-				ContentionCycles: m.ContentionCycles(),
-				Spawns:           m.Spawns(),
+				Cores:        n,
+				Elapsed:      r.Cycles,
+				Instructions: r.Stats.Instructions,
+				TrafficBytes: r.Stats.DataBytes(),
 			}
-			for _, cs := range m.CoreStats() {
-				cell.Instructions += cs.Instructions
-				cell.TrafficBytes += cs.DataReadBytes + cs.DataWriteBytes
+			if r.SMP != nil { // nil on one core, which runs without the SMP machine
+				cell.ContentionCycles, cell.Spawns = r.SMP.ContentionCycles, r.SMP.Spawns
 			}
 			if n == 1 {
 				base = cell.Elapsed
@@ -122,19 +117,16 @@ func E12SMPScalability(_ *Lab) (*E12Result, error) {
 		// also checked race-free. (The detector forces the step engine; its
 		// timings are not comparable, so this run is not measured.)
 		widest := E12CoreCounts[len(E12CoreCounts)-1]
-		rm, err := smp.New(img, smp.Config{
-			Cores: widest,
-			Core:  core.Config{SaveStackBytes: 64 << 10},
-			Race:  true,
+		checked, err := machine.Run(context.Background(), machine.Image{RISC: img}, machine.Config{
+			Target: cc.RISCWindowed,
+			Cores:  widest,
+			Race:   true,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("E12: %s race check: %w", b.Name, err)
-		}
-		if err := rm.Run(context.Background()); err != nil {
 			return nil, fmt.Errorf("E12: %s race check on %d cores: %w", b.Name, widest, err)
 		}
-		if races := rm.Races(); len(races) != 0 {
-			return nil, fmt.Errorf("E12: %s on %d cores is racy: %v", b.Name, widest, races)
+		if len(checked.Races) != 0 {
+			return nil, fmt.Errorf("E12: %s on %d cores is racy: %v", b.Name, widest, checked.Races)
 		}
 		res.Rows = append(res.Rows, row)
 	}

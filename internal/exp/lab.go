@@ -21,6 +21,7 @@ import (
 	"risc1/internal/cc"
 	"risc1/internal/cisc"
 	"risc1/internal/core"
+	"risc1/internal/machine"
 	"risc1/internal/mem"
 	"risc1/internal/pipeline"
 	"risc1/internal/prog"
@@ -85,89 +86,40 @@ func Execute(b prog.Benchmark, target cc.Target, opt Options) (*Run, error) {
 	return ExecuteContext(context.Background(), b, target, opt)
 }
 
-// armFault installs a private copy of the plan so concurrent runs sharing
-// one Options value keep independent access counters.
-func armFault(m *mem.Memory, plan *mem.FaultPlan) {
-	if plan != nil {
-		p := *plan
-		m.SetFaultPlan(&p)
-	}
-}
-
 // ExecuteContext is Execute honoring ctx: cancellation or deadline expiry
 // aborts the simulation at the next run-batch boundary.
 func ExecuteContext(ctx context.Context, b prog.Benchmark, target cc.Target, opt Options) (*Run, error) {
 	run := &Run{Bench: b, Target: target, Engine: opt.Engine}
-	switch target {
-	case cc.CISC:
+	var img machine.Image
+	if target == cc.CISC {
 		res, err := cc.Compile(b.Source, cc.Options{Target: target})
 		if err != nil {
 			return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
 		}
-		img, err := cisc.Assemble(res.Asm)
+		if img.CX, err = cisc.Assemble(res.Asm); err != nil {
+			return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
+		}
+		run.CodeBytes, run.DataBytes = split(img.CX.Symbols, img.CX.Org, len(img.CX.Bytes))
+	} else {
+		var err error
+		img.RISC, run.SlotsFilled, err = cc.BuildRISC(b.Source, cc.Options{Target: target, NoDelaySlotFill: opt.NoDelayFill})
 		if err != nil {
 			return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
 		}
-		run.CodeBytes, run.DataBytes = split(img.Symbols, img.Org, len(img.Bytes))
-		m := cisc.New(cisc.Config{})
-		defer m.Mem.Release()
-		if err := m.Load(img); err != nil {
-			return nil, err
-		}
-		armFault(m.Mem, opt.Fault)
-		if err := m.RunContext(ctx); err != nil {
-			return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-		}
-		run.Stats = m.Stats()
-		run.Seconds = m.Time()
-		run.Console = m.Console()
-	default:
-		img, slots, err := cc.BuildRISC(b.Source, cc.Options{Target: target, NoDelaySlotFill: opt.NoDelayFill})
-		if err != nil {
-			return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-		}
-		run.SlotsFilled = slots
-		run.CodeBytes, run.DataBytes = split(img.Symbols, img.Org, len(img.Bytes))
-		cfg := core.Config{
-			Flat:           target == cc.RISCFlat,
-			Windows:        opt.Windows,
-			SpillBatch:     opt.SpillBatch,
-			SaveStackBytes: 64 << 10,
-			Engine:         opt.Engine,
-		}
-		if target == cc.RISCPipelined {
-			// The pipelined target measures cycles on the five-stage
-			// model; architectural execution runs on the block engine,
-			// whatever opt.Engine says.
-			m := pipeline.New(cfg, opt.Policy)
-			defer m.CPU().Mem.Release()
-			if err := m.Load(img); err != nil {
-				return nil, err
-			}
-			armFault(m.CPU().Mem, opt.Fault)
-			if err := m.RunContext(ctx); err != nil {
-				return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-			}
-			res := m.Result()
-			run.Pipeline = &res
-			run.Stats = m.CPU().Stats()
-			run.Seconds = res.Time()
-			run.Console = m.CPU().Console()
-		} else {
-			m := core.New(cfg)
-			defer m.Mem.Release()
-			if err := m.Load(img); err != nil {
-				return nil, err
-			}
-			armFault(m.Mem, opt.Fault)
-			if err := m.RunContext(ctx); err != nil {
-				return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-			}
-			run.Stats = m.Stats()
-			run.Seconds = m.Time()
-			run.Console = m.Console()
-		}
+		run.CodeBytes, run.DataBytes = split(img.RISC.Symbols, img.RISC.Org, len(img.RISC.Bytes))
 	}
+	res, err := machine.Run(ctx, img, machine.Config{
+		Target:     target,
+		Windows:    opt.Windows,
+		SpillBatch: opt.SpillBatch,
+		Engine:     opt.Engine,
+		Policy:     opt.Policy,
+		Fault:      opt.Fault,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
+	}
+	run.Stats, run.Seconds, run.Console, run.Pipeline = res.Stats, res.Seconds(), res.Console, res.Pipeline
 	if want := prog.Expected(b.Name); run.Console != want {
 		return nil, fmt.Errorf("%s on %v: produced %q, want %q",
 			b.Name, target, run.Console, want)

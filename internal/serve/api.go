@@ -253,21 +253,6 @@ func runErrorStatus(err error) (int, ErrorBody) {
 	return status, ErrorBody{Error: d}
 }
 
-// parseTarget maps the wire name to a Target.
-func parseTarget(s string) (risc1.Target, error) {
-	switch s {
-	case "", "windowed", "risc":
-		return risc1.RISCWindowed, nil
-	case "flat":
-		return risc1.RISCFlat, nil
-	case "cisc", "cx":
-		return risc1.CISC, nil
-	case "pipelined":
-		return risc1.RISCPipelined, nil
-	}
-	return 0, fmt.Errorf("unknown target %q (want windowed, flat, cisc or pipelined)", s)
-}
-
 // parseLang normalizes the front-end selector.
 func parseLang(s string) (string, error) {
 	switch s {

@@ -391,7 +391,7 @@ func (s *Server) parseRun(w http.ResponseWriter, r *http.Request) (runParams, bo
 		return p, false
 	}
 	var err error
-	if p.target, err = parseTarget(req.Target); err != nil {
+	if p.target, err = risc1.ParseTarget(req.Target); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return p, false
 	}
@@ -487,7 +487,7 @@ func (s *Server) handleDisasm(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "source is required")
 		return
 	}
-	target, err := parseTarget(req.Target)
+	target, err := risc1.ParseTarget(req.Target)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -528,7 +528,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	if targetName == "smp" {
 		targetName, lintOpts.SMP = "windowed", true
 	}
-	target, err := parseTarget(targetName)
+	target, err := risc1.ParseTarget(targetName)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return

@@ -35,11 +35,10 @@ import (
 	"risc1/internal/exp"
 	"risc1/internal/isa"
 	"risc1/internal/lint"
-	"risc1/internal/mem"
+	"risc1/internal/machine"
 	"risc1/internal/pipeline"
 	"risc1/internal/prog"
 	"risc1/internal/smp"
-	"risc1/internal/timing"
 )
 
 // Target selects a compilation target for Cm sources.
@@ -61,6 +60,10 @@ const (
 	// policy instead of unit instruction costs.
 	RISCPipelined = cc.RISCPipelined
 )
+
+// ParseTarget maps the CLI/API spelling ("windowed" or "risc", "flat",
+// "cisc" or "cx", "pipelined", or empty for windowed) to a Target.
+func ParseTarget(s string) (Target, error) { return cc.ParseTarget(s) }
 
 // Policy selects how the pipelined target resolves control transfers; see
 // pipeline.Policy. Targets other than RISCPipelined ignore it.
@@ -152,8 +155,8 @@ type RunInfo struct {
 	Instructions     uint64
 	Cycles           uint64 // processor cycles (RISC) or microcycles (CX)
 	Time             time.Duration
-	CodeBytes        int
-	DataBytes        int
+	// CodeBytes is the image size: code plus initialized data.
+	CodeBytes int
 
 	Calls            uint64
 	MaxCallDepth     int
@@ -211,20 +214,7 @@ type Race = smp.Race
 type RaceAccess = smp.RaceAccess
 
 // SMPInfo is the shared-memory machine's execution breakdown.
-type SMPInfo struct {
-	Cores int `json:"cores"`
-	// ElapsedCycles is the makespan under the interconnect cost model.
-	ElapsedCycles uint64 `json:"elapsed_cycles"`
-	// ContentionCycles totals the arbitration penalty charged across cores
-	// for rounds where more than one core touched memory.
-	ContentionCycles uint64 `json:"contention_cycles"`
-	// Rounds counts scheduler rounds; Spawns counts workers launched and
-	// SpawnFails the spawn requests that fell back to an inline call.
-	Rounds     uint64        `json:"rounds"`
-	Spawns     uint64        `json:"spawns"`
-	SpawnFails uint64        `json:"spawn_fails"`
-	PerCore    []SMPCoreInfo `json:"per_core"`
-}
+type SMPInfo = machine.SMP
 
 // SMPCoreInfo is one core's share of a shared-memory run.
 type SMPCoreInfo = smp.CoreStats
@@ -365,7 +355,9 @@ type RunOptions struct {
 	// (delayed or squash); other targets ignore it.
 	Policy Policy
 	// Profile collects the execution-heat table and dynamic opcode
-	// n-grams into RunInfo.Profile / RunInfo.NGrams (RISC targets only).
+	// n-grams into RunInfo.Profile / RunInfo.NGrams. Only the auto and
+	// trace engines count heat, so both are empty on CISC, on the
+	// pipelined target and under the block and step engines.
 	Profile bool
 	// Cores runs the image on a shared-memory machine of this many RISC I
 	// cores (1..MaxCores; 0 means 1). Multi-core runs require the
@@ -402,160 +394,44 @@ type RunMonitor struct {
 	Progress func(instructions, cycles uint64)
 }
 
-// install arms the monitor's callbacks on one machine's memory and progress
-// hook. setProgress receives a nil-able hook so machines without the monitor
-// stay zero-overhead.
-func (mon *RunMonitor) install(m *mem.Memory, setProgress func(func(uint64, uint64))) {
-	if mon == nil {
-		return
-	}
-	if mon.Console != nil {
-		m.SetConsoleSink(mon.Console)
-	}
-	if mon.Progress != nil {
-		setProgress(mon.Progress)
-	}
-}
-
 // RunImage runs a compiled image to completion on a machine of its target
 // with zeroed memory, honoring ctx like BuildAndRunContext. The image is not
 // modified, so concurrent RunImage calls on one Image are safe.
 func RunImage(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error) {
-	if opt.Cores < 0 || opt.Cores > MaxCores {
-		return nil, ErrBadCores
+	cfg := machine.Config{
+		Target:    img.target,
+		MaxCycles: opt.MaxCycles,
+		Engine:    opt.Engine,
+		Policy:    opt.Policy,
+		Cores:     opt.Cores,
+		Race:      opt.Race,
+		Profile:   opt.Profile,
 	}
-	if opt.Cores > 1 || opt.Race {
-		if img.target != RISCWindowed {
-			return nil, ErrWindowedOnly
-		}
-		return runSMP(ctx, img, opt)
+	if mon := opt.Monitor; mon != nil {
+		cfg.Console, cfg.Progress = mon.Console, mon.Progress
 	}
-	if img.target == CISC {
-		m := cisc.New(cisc.Config{MaxCycles: opt.MaxCycles})
-		defer m.Mem.Release()
-		if err := m.Load(img.cisc); err != nil {
-			return nil, err
-		}
-		opt.Monitor.install(m.Mem, func(f func(uint64, uint64)) { m.Progress = f })
-		if err := m.RunContext(ctx); err != nil {
-			return nil, err
-		}
-		return ciscInfo(m, img.cisc), nil
-	}
-	if img.target == RISCPipelined {
-		pm := pipeline.New(core.Config{
-			SaveStackBytes: 64 << 10,
-			MaxCycles:      opt.MaxCycles,
-		}, opt.Policy)
-		defer pm.CPU().Mem.Release()
-		if err := pm.Load(img.risc); err != nil {
-			return nil, err
-		}
-		cpu := pm.CPU()
-		opt.Monitor.install(cpu.Mem, func(f func(uint64, uint64)) { cpu.Progress = f })
-		if err := pm.RunContext(ctx); err != nil {
-			return nil, err
-		}
-		info := riscInfo(pm.CPU(), len(img.risc.Bytes))
-		res := pm.Result()
-		info.Pipeline = pipelineInfo(res, info.Cycles)
-		// Report the measured pipeline timing as the run's headline
-		// cycles; the single-cycle count stays in Pipeline.RefCycles.
-		info.Cycles = res.Cycles
-		info.Time = timing.RiscTime(res.Cycles)
-		return info, nil
-	}
-	m := core.New(core.Config{
-		Flat:           img.target == RISCFlat,
-		SaveStackBytes: 64 << 10,
-		MaxCycles:      opt.MaxCycles,
-		Engine:         opt.Engine,
-	})
-	defer m.Mem.Release()
-	if err := m.Load(img.risc); err != nil {
-		return nil, err
-	}
-	opt.Monitor.install(m.Mem, func(f func(uint64, uint64)) { m.Progress = f })
-	if err := m.RunContext(ctx); err != nil {
-		return nil, err
-	}
-	info := riscInfo(m, len(img.risc.Bytes))
-	if opt.Profile {
-		info.Profile = heatProfile(m)
-		info.NGrams = hotNGrams(m)
-	}
-	return info, nil
-}
-
-// runSMP executes a windowed image on the shared-memory multiprocessor.
-func runSMP(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error) {
-	cores := opt.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	m, err := smp.New(img.risc, smp.Config{
-		Cores: cores,
-		Race:  opt.Race,
-		Core: core.Config{
-			SaveStackBytes: 64 << 10,
-			MaxCycles:      opt.MaxCycles,
-			Engine:         opt.Engine,
-		},
-	})
+	r, err := machine.Run(ctx, machine.Image{RISC: img.risc, CX: img.cisc}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer m.Core(0).Mem.Release() // every core shares core 0's memory
-	opt.Monitor.install(m.Core(0).Mem, func(f func(uint64, uint64)) { m.Progress = f })
-	if err := m.Run(ctx); err != nil {
-		return nil, err
-	}
-	leader := m.Core(0)
-	info := riscInfo(leader, len(img.risc.Bytes))
+	info := runInfo(r, img.Size())
 	if opt.Profile {
-		info.Profile = heatProfile(leader)
-		info.NGrams = hotNGrams(leader)
-	}
-	perCore := m.CoreStats()
-	si := &SMPInfo{
-		Cores:            m.Cores(),
-		ElapsedCycles:    m.Elapsed(),
-		ContentionCycles: m.ContentionCycles(),
-		Rounds:           m.Rounds(),
-		Spawns:           m.Spawns(),
-		SpawnFails:       m.SpawnFails(),
-		PerCore:          perCore,
-	}
-	// Aggregate the whole machine into the headline fields: total
-	// retirements and traffic, makespan cycles.
-	info.Instructions, info.DataReadBytes, info.DataWriteBytes = 0, 0, 0
-	info.FetchBytes, info.Calls = 0, 0
-	for i, cs := range perCore {
-		info.Instructions += cs.Instructions
-		info.DataReadBytes += cs.DataReadBytes
-		info.DataWriteBytes += cs.DataWriteBytes
-		cst := m.Core(i).Stats()
-		info.FetchBytes += cst.FetchBytes
-		info.Calls += cst.Calls
-	}
-	info.Cycles = si.ElapsedCycles
-	info.Time = timing.RiscTime(si.ElapsedCycles)
-	info.SMP = si
-	if opt.Race {
-		info.Races = m.Races()
+		info.Profile = heatProfile(r.Heat)
+		info.NGrams = nGrams(r.NGrams)
 	}
 	return info, nil
 }
 
-func riscInfo(m *core.CPU, imageBytes int) *RunInfo {
-	s := m.Stats()
-	ts := m.TraceStats()
+// runInfo converts a run's result to the facade type; imageBytes is the
+// size of the image it ran.
+func runInfo(r *machine.Result, imageBytes int) *RunInfo {
+	s := r.Stats
 	info := &RunInfo{
-		Console:          m.Console(),
-		ConsoleTruncated: m.Mem.ConsoleTruncated(),
+		Console:          r.Console,
+		ConsoleTruncated: r.ConsoleTruncated,
 		Instructions:     s.Instructions,
-		Cycles:           s.Cycles,
-		Time:             timing.RiscTime(s.Cycles),
+		Cycles:           r.Cycles,
+		Time:             r.Time(),
 		CodeBytes:        imageBytes,
 		Calls:            s.Calls,
 		MaxCallDepth:     s.MaxCallDepth,
@@ -565,16 +441,17 @@ func riscInfo(m *core.CPU, imageBytes int) *RunInfo {
 		DataWriteBytes:   s.DataWrites,
 		FetchBytes:       s.FetchBytes,
 
-		TracesCompiled:     ts.Compiled,
-		TraceSideExits:     ts.SideExits,
-		TraceInvalidations: ts.Invalidations,
-		TraceInstructions:  ts.Instructions,
+		TracesCompiled:     r.Trace.Compiled,
+		TraceSideExits:     r.Trace.SideExits,
+		TraceInvalidations: r.Trace.Invalidations,
+		TraceInstructions:  r.Trace.Instructions,
+		HotBlocks:          r.HotBlocks,
+
+		SMP:   r.SMP,
+		Races: r.Races,
 	}
-	thr := m.HotThreshold()
-	for _, h := range m.HeatProfile() {
-		if h.Count >= thr {
-			info.HotBlocks++
-		}
+	if r.Pipeline != nil {
+		info.Pipeline = pipelineInfo(*r.Pipeline, s.Cycles)
 	}
 	return info
 }
@@ -600,8 +477,7 @@ func pipelineInfo(r pipeline.Result, refCycles uint64) *PipelineInfo {
 }
 
 // heatProfile converts the core's heat table to the facade type.
-func heatProfile(m *core.CPU) []BlockProfile {
-	heat := m.HeatProfile()
+func heatProfile(heat []core.HeatEntry) []BlockProfile {
 	out := make([]BlockProfile, len(heat))
 	for i, h := range heat {
 		out[i] = BlockProfile{PC: h.PC, Count: h.Count, Trace: h.Trace}
@@ -609,32 +485,13 @@ func heatProfile(m *core.CPU) []BlockProfile {
 	return out
 }
 
-// hotNGrams collects the top measured bigrams and trigrams.
-func hotNGrams(m *core.CPU) []NGramCount {
+// nGrams converts measured opcode n-grams to the facade type.
+func nGrams(grams []core.NGram) []NGramCount {
 	var out []NGramCount
-	for _, n := range []int{2, 3} {
-		for _, g := range m.HotNGrams(n, 8) {
-			out = append(out, NGramCount{Ops: g.Ops, Count: g.Count})
-		}
+	for _, g := range grams {
+		out = append(out, NGramCount{Ops: g.Ops, Count: g.Count})
 	}
 	return out
-}
-
-func ciscInfo(m *cisc.CPU, img *cisc.Image) *RunInfo {
-	s := m.Stats()
-	return &RunInfo{
-		Console:          m.Console(),
-		ConsoleTruncated: m.Mem.ConsoleTruncated(),
-		Instructions:     s.Instructions,
-		Cycles:           s.Cycles,
-		Time:             timing.CXTime(s.Cycles),
-		CodeBytes:        img.Size(),
-		Calls:            s.Calls,
-		MaxCallDepth:     s.MaxCallDepth,
-		DataReadBytes:    s.DataReads,
-		DataWriteBytes:   s.DataWrites,
-		FetchBytes:       s.FetchBytes,
-	}
 }
 
 // MachineConfig sizes an assembly-level RISC I machine.
@@ -707,23 +564,17 @@ func (m *Machine) Info() *RunInfo {
 	if m.lastImage != nil {
 		size = len(m.lastImage.Bytes)
 	}
-	return riscInfo(m.cpu, size)
+	return runInfo(machine.FromCore(m.cpu, false), size)
 }
 
 // Profile returns the execution-heat table accumulated so far, hottest
 // first. Heat is counted by the trace-capable engines (auto, trace); the
 // block and step engines leave it empty.
-func (m *Machine) Profile() []BlockProfile { return heatProfile(m.cpu) }
+func (m *Machine) Profile() []BlockProfile { return heatProfile(m.cpu.HeatProfile()) }
 
 // HotNGrams returns the top measured dynamic opcode n-grams (n clamped to
 // 2 or 3).
-func (m *Machine) HotNGrams(n, top int) []NGramCount {
-	var out []NGramCount
-	for _, g := range m.cpu.HotNGrams(n, top) {
-		out = append(out, NGramCount{Ops: g.Ops, Count: g.Count})
-	}
-	return out
-}
+func (m *Machine) HotNGrams(n, top int) []NGramCount { return nGrams(m.cpu.HotNGrams(n, top)) }
 
 // Interrupt queues an external interrupt. When interrupts are enabled the
 // processor redirects to vector at the next instruction boundary; the
