@@ -8,7 +8,6 @@ import (
 
 	"risc1/internal/mem"
 	"risc1/internal/stats"
-	"risc1/internal/timing"
 )
 
 // HaltPC is the sentinel return address planted under the entry procedure:
@@ -207,11 +206,6 @@ func (c *CPU) Stats() *stats.Stats {
 		c.stat.ByCategory[category(op)] += n
 	}
 	return c.stat
-}
-
-// Time returns simulated elapsed seconds at the 200 ns microcycle.
-func (c *CPU) Time() float64 {
-	return float64(c.cycles) * timing.CXMicrocycleNS * 1e-9
 }
 
 // runBatch is how many instructions RunContext executes between checks of

@@ -412,11 +412,6 @@ func (c *CPU) Stats() *stats.Stats {
 	return c.stat
 }
 
-// Time returns the simulated elapsed time at the paper's 400 ns cycle.
-func (c *CPU) Time() float64 {
-	return float64(c.stat.Cycles) * timing.RiscCycleNS * 1e-9
-}
-
 // Interrupt queues an external interrupt that will redirect execution to
 // vector once interrupts are enabled and the processor is between
 // instructions (never between a transfer and its delay slot).

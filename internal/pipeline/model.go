@@ -55,7 +55,6 @@ import (
 	"risc1/internal/core"
 	"risc1/internal/isa"
 	"risc1/internal/stats"
-	"risc1/internal/timing"
 )
 
 // Policy selects how the pipeline resolves control transfers.
@@ -161,11 +160,6 @@ func (r Result) FillRate() float64 {
 func (r Result) StallCycles() uint64 {
 	return r.LoadUseStallCycles + r.WindowStallCycles + r.FlushBubbleCycles +
 		r.MemPortStallCycles
-}
-
-// Time is the simulated pipelined run time in seconds at the paper's clock.
-func (r Result) Time() float64 {
-	return float64(r.Cycles) * timing.RiscCycleNS * 1e-9
 }
 
 // writeRec scoreboards the in-flight producer of one physical register (or

@@ -1,13 +1,12 @@
-// Package timing centralizes the clock models used by the evaluation, so
-// every experiment converts cycles to time the same way.
+// Package timing centralizes the clock models used by the evaluation: the
+// clock periods that internal/machine converts cycle counts with, and the
+// instruction and trap costs the machines charge.
 //
 // RISC I's published performance estimates assume a 400 ns processor cycle
 // (the NMOS prototype's design target). The CISC comparator CX is modelled
 // on a VAX-11/780-class machine: a 200 ns microcycle (5 MHz), with each
 // instruction costing several microcycles of microcode plus memory time.
 package timing
-
-import "time"
 
 // Clock periods.
 const (
@@ -33,13 +32,3 @@ const (
 	RiscSpillCycles = 8 + 16*RiscStoreCycles // 40
 	RiscFillCycles  = 8 + 16*RiscLoadCycles  // 40
 )
-
-// RiscTime converts a RISC I cycle count to simulated wall time.
-func RiscTime(cycles uint64) time.Duration {
-	return time.Duration(cycles) * RiscCycleNS * time.Nanosecond
-}
-
-// CXTime converts a CX microcycle count to simulated wall time.
-func CXTime(microcycles uint64) time.Duration {
-	return time.Duration(microcycles) * CXMicrocycleNS * time.Nanosecond
-}

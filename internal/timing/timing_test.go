@@ -1,18 +1,6 @@
 package timing
 
-import (
-	"testing"
-	"time"
-)
-
-func TestClockConversions(t *testing.T) {
-	if RiscTime(1) != 400*time.Nanosecond {
-		t.Errorf("one RISC cycle = %v", RiscTime(1))
-	}
-	if CXTime(5) != time.Microsecond {
-		t.Errorf("five CX microcycles = %v", CXTime(5))
-	}
-}
+import "testing"
 
 func TestTrapCosts(t *testing.T) {
 	// A window spill is trap overhead plus 16 two-cycle stores; fill is
