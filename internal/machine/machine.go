@@ -57,18 +57,21 @@ type Config struct {
 // Result is what one run reports: copies of the machine's counters, never
 // the machine itself.
 type Result struct {
-	// Stats are the architectural statistics. On the SMP machine
-	// Instructions, DataReads, DataWrites, FetchBytes and Calls sum every
-	// core; the other fields are core 0's.
+	// Stats are the architectural statistics. On the SMP machine every
+	// counter sums the cores, MaxCallDepth is the deepest core's, and
+	// Stats.Cycles is core 0's.
 	Stats *stats.Stats
 	// Cycles is the headline count: measured on the pipelined target, the
 	// makespan on the SMP machine, Stats.Cycles otherwise.
 	Cycles           uint64
 	Console          string
 	ConsoleTruncated bool
-	// Trace and HotBlocks are core 0's trace-tier counters and how many
-	// block leaders reached the trace-compile threshold; Heat and NGrams
-	// (under Config.Profile) its heat table and top opcode 2- and 3-grams.
+	// Trace is the trace tier's counters, summed over the cores on the SMP
+	// machine. HotBlocks is how many block leaders reached the
+	// trace-compile threshold in core 0's heat table, and Heat and NGrams
+	// (under Config.Profile) that table and its top opcode 2- and 3-grams;
+	// the SMP machine's cores share one heat table, so it counts them all
+	// and is not summed.
 	Trace     core.TraceStats
 	HotBlocks int
 	Heat      []core.HeatEntry
@@ -180,22 +183,27 @@ func Run(ctx context.Context, img Image, cfg Config) (*Result, error) {
 	return result(), nil
 }
 
-// fromSMP reads core 0's counters, sums the retirement and traffic ones
-// over every core, and adds the machine's breakdown.
+// fromSMP sums every core's Stats, with the data traffic each core was
+// attributed, and trace counters into core 0's Result, as the Result field
+// comments describe, and adds the machine's breakdown.
 func fromSMP(m *smp.Machine, profile bool) *Result {
 	r := FromCore(m.Core(0), profile)
-	sum := *r.Stats
-	sum.Instructions, sum.DataReads, sum.DataWrites, sum.FetchBytes, sum.Calls = 0, 0, 0, 0, 0
+	sum := stats.New()
+	var trace core.TraceStats
 	perCore := m.CoreStats()
 	for i, cs := range perCore {
-		s := m.Core(i).Stats()
-		sum.Instructions += cs.Instructions
-		sum.DataReads += cs.DataReadBytes
-		sum.DataWrites += cs.DataWriteBytes
-		sum.FetchBytes += s.FetchBytes
-		sum.Calls += s.Calls
+		c := m.Core(i)
+		s := *c.Stats()
+		s.DataReads, s.DataWrites = cs.DataReadBytes, cs.DataWriteBytes
+		sum.Add(&s)
+		t := c.TraceStats()
+		trace.Compiled += t.Compiled
+		trace.SideExits += t.SideExits
+		trace.Invalidations += t.Invalidations
+		trace.Instructions += t.Instructions
 	}
-	r.Stats = &sum
+	sum.Cycles = r.Stats.Cycles
+	r.Stats, r.Trace = sum, trace
 	r.SMP = &SMP{
 		Cores:            m.Cores(),
 		ElapsedCycles:    m.Elapsed(),

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"risc1/internal/machine"
 	"risc1/internal/prog"
 )
 
@@ -65,7 +66,8 @@ func TestTraceProfilePinned(t *testing.T) {
 // machine for: the 13 suite kernels on windowed, flat, cisc and pipelined
 // (delayed and squash), and the parallel kernels on 2 and 4 SMP cores and
 // under the race detector at 4 cores. Every RunInfo field is recorded except
-// the heat profile and n-grams, which TestTraceProfilePinned covers.
+// the heat profile and n-grams, which TestTraceProfilePinned covers. Every
+// run must also pass checkAccounting.
 func TestRunInfoPinned(t *testing.T) {
 	type config struct {
 		name   string
@@ -78,10 +80,11 @@ func TestRunInfoPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		info, err := RunImage(context.Background(), img, c.opt)
+		r, info, err := runImage(context.Background(), img, c.opt)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", k.Name, c.name, err)
 		}
+		checkAccounting(t, k.Name+" on "+c.name, c.target, r)
 		fmt.Fprintf(&b, "%s %s console=%q truncated=%v instr=%d cycles=%d time=%v code_bytes=%d\n",
 			k.Name, c.name, info.Console, info.ConsoleTruncated, info.Instructions,
 			info.Cycles, info.Time, info.CodeBytes)
@@ -122,6 +125,50 @@ func TestRunInfoPinned(t *testing.T) {
 		}
 	}
 	checkGolden(t, "testdata/runinfo.golden", b.String())
+}
+
+// checkAccounting checks the identities a run's counters satisfy on every
+// machine: the instruction mix and its categories each add up to
+// Instructions, the call-depth histogram adds up to Calls (on the RISC I
+// machines; CX keeps no histogram), trace-tier retirements are a subset of
+// Instructions, and the SMP cores' retirements and data traffic add up to
+// the run's.
+func checkAccounting(t *testing.T, run string, target Target, r *machine.Result) {
+	t.Helper()
+	s := r.Stats
+	var byName, byCategory, depths uint64
+	for _, n := range s.ByName {
+		byName += n
+	}
+	for _, n := range s.ByCategory {
+		byCategory += n
+	}
+	for _, n := range s.DepthHist {
+		depths += n
+	}
+	if byName != s.Instructions || byCategory != s.Instructions {
+		t.Errorf("%s: Σ ByName = %d, Σ ByCategory = %d, Instructions = %d",
+			run, byName, byCategory, s.Instructions)
+	}
+	if target != CISC && depths != s.Calls {
+		t.Errorf("%s: Σ DepthHist = %d, Calls = %d", run, depths, s.Calls)
+	}
+	if r.Trace.Instructions > s.Instructions {
+		t.Errorf("%s: Trace.Instructions = %d > Instructions = %d",
+			run, r.Trace.Instructions, s.Instructions)
+	}
+	if r.SMP != nil {
+		var instructions, reads, writes uint64
+		for _, cs := range r.SMP.PerCore {
+			instructions += cs.Instructions
+			reads += cs.DataReadBytes
+			writes += cs.DataWriteBytes
+		}
+		if instructions != s.Instructions || reads != s.DataReads || writes != s.DataWrites {
+			t.Errorf("%s: Σ PerCore instructions, reads, writes = %d, %d, %d; Stats %d, %d, %d",
+				run, instructions, reads, writes, s.Instructions, s.DataReads, s.DataWrites)
+		}
+	}
 }
 
 // TestExperimentIDsAllRunnable checks that every advertised experiment ID

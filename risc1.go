@@ -192,9 +192,10 @@ type RunInfo struct {
 	Pipeline *PipelineInfo
 
 	// SMP carries the shared-memory machine's breakdown for runs with
-	// RunOptions.Cores > 1; nil otherwise. For those runs Instructions and
-	// the data-traffic totals above aggregate every core, and Cycles is
-	// the machine's makespan (max over cores of executed plus contention
+	// RunOptions.Cores > 1; nil otherwise. For those runs the counters
+	// above sum every core (MaxCallDepth is the deepest core's, and
+	// HotBlocks counts the heat table the cores share), and Cycles is the
+	// machine's makespan (max over cores of executed plus contention
 	// cycles).
 	SMP *SMPInfo
 
@@ -398,6 +399,12 @@ type RunMonitor struct {
 // with zeroed memory, honoring ctx like BuildAndRunContext. The image is not
 // modified, so concurrent RunImage calls on one Image are safe.
 func RunImage(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error) {
+	_, info, err := runImage(ctx, img, opt)
+	return info, err
+}
+
+// runImage is RunImage that also returns the machine's own result.
+func runImage(ctx context.Context, img *Image, opt RunOptions) (*machine.Result, *RunInfo, error) {
 	cfg := machine.Config{
 		Target:    img.target,
 		MaxCycles: opt.MaxCycles,
@@ -412,14 +419,14 @@ func RunImage(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error)
 	}
 	r, err := machine.Run(ctx, machine.Image{RISC: img.risc, CX: img.cisc}, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	info := runInfo(r, img.Size())
 	if opt.Profile {
 		info.Profile = heatProfile(r.Heat)
 		info.NGrams = nGrams(r.NGrams)
 	}
-	return info, nil
+	return r, info, nil
 }
 
 // runInfo converts a run's result to the facade type; imageBytes is the
