@@ -272,28 +272,8 @@ func (c *CPU) exec(e *inst) error {
 		}
 		return c.writeNZ(s2, uint32(int32(v)>>(-cnt&31)))
 
-	case OpBR:
-		return c.branch(s0, true)
-	case OpBEQ:
-		return c.branch(s0, c.flags.Z)
-	case OpBNE:
-		return c.branch(s0, !c.flags.Z)
-	case OpBGT:
-		return c.branch(s0, !c.flags.Z && c.flags.N == c.flags.V)
-	case OpBLE:
-		return c.branch(s0, c.flags.Z || c.flags.N != c.flags.V)
-	case OpBGE:
-		return c.branch(s0, c.flags.N == c.flags.V)
-	case OpBLT:
-		return c.branch(s0, c.flags.N != c.flags.V)
-	case OpBHI:
-		return c.branch(s0, c.flags.C && !c.flags.Z)
-	case OpBLOS:
-		return c.branch(s0, !c.flags.C || c.flags.Z)
-	case OpBHIS:
-		return c.branch(s0, c.flags.C)
-	case OpBLO:
-		return c.branch(s0, !c.flags.C)
+	case OpBR, OpBEQ, OpBNE, OpBGT, OpBLE, OpBGE, OpBLT, OpBHI, OpBLOS, OpBHIS, OpBLO:
+		return c.branch(s0, c.flags.taken(e.op))
 	case OpJMP:
 		if s0.kind != kMem {
 			return c.needAddress(s0, "jmp needs an address operand")
@@ -478,6 +458,33 @@ func (c *CPU) subFlags(a, b uint32) uint32 {
 	c.flags.C = full <= 0xFFFFFFFF
 	c.flags.V = (a^b)&0x80000000 != 0 && (a^r)&0x80000000 != 0
 	return r
+}
+
+// taken reports whether BR or the Bcc op branches under the flags f.
+func (f flags) taken(op Op) bool {
+	switch op {
+	case OpBEQ:
+		return f.Z
+	case OpBNE:
+		return !f.Z
+	case OpBGT:
+		return !f.Z && f.N == f.V
+	case OpBLE:
+		return f.Z || f.N != f.V
+	case OpBGE:
+		return f.N == f.V
+	case OpBLT:
+		return f.N != f.V
+	case OpBHI:
+		return f.C && !f.Z
+	case OpBLOS:
+		return !f.C || f.Z
+	case OpBHIS:
+		return f.C
+	case OpBLO:
+		return !f.C
+	}
+	return true // OpBR
 }
 
 // branch completes BR or a Bcc whose displacement literal is d: taken

@@ -141,29 +141,34 @@ var predecodeSeeds = []string{`
 		ret
 	`}
 
-// FuzzCXPredecode is the decoded instruction cache's differential: every
-// input runs once with the cache and once with it bypassed, so that every
-// execution decodes from memory. The two machines must agree on registers,
-// flags, PC, console, every Stats field and the error. The input is a code
-// image loaded at 0, its entry point and its __data_start (0: all code).
+// FuzzCXPredecode is the differential of the decoded instruction cache and
+// the block tier built on it: every input runs once with both and once with
+// the cache bypassed, so that every execution decodes from memory and
+// single-steps. The two machines must agree on registers, flags, PC,
+// console, every Stats field, the error and every Progress call. The input
+// is a code image loaded at 0, its entry point, its __data_start (0: all
+// code) and the microcycle budget less one, so that the budget runs out at
+// block boundaries and inside blocks.
 //
 //	go test -fuzz=FuzzCXPredecode ./internal/cisc
 func FuzzCXPredecode(f *testing.F) {
-	for _, img := range compileSuite(f) {
-		f.Add(img.Bytes, uint16(img.Entry), uint16(img.Symbols["__data_start"]))
+	for i, img := range compileSuite(f) {
+		f.Add(img.Bytes, uint16(img.Entry), uint16(img.Symbols["__data_start"]), uint16(1<<16-1))
+		f.Add(img.Bytes, uint16(img.Entry), uint16(img.Symbols["__data_start"]), uint16(997*i+500))
 	}
 	for _, src := range predecodeSeeds {
 		img := MustAssemble(src)
-		f.Add(img.Bytes, uint16(img.Entry), uint16(0))
+		f.Add(img.Bytes, uint16(img.Entry), uint16(0), uint16(1<<16-1))
+		f.Add(img.Bytes, uint16(img.Entry), uint16(0), uint16(60))
 	}
 	r := rand.New(rand.NewSource(23))
 	for i := 0; i < 8; i++ {
 		code := make([]byte, 256)
 		r.Read(code)
 		code[0], code[1] = 0, 0 // mask word entry
-		f.Add(code, uint16(0), uint16(0))
+		f.Add(code, uint16(0), uint16(0), uint16(r.Intn(1<<16)))
 	}
-	f.Fuzz(func(t *testing.T, code []byte, entry, dataStart uint16) {
+	f.Fuzz(func(t *testing.T, code []byte, entry, dataStart, budget uint16) {
 		if len(code) < 2 || len(code) > 1<<15 || int(entry)+2 > len(code) {
 			return
 		}
@@ -171,16 +176,20 @@ func FuzzCXPredecode(f *testing.F) {
 		if dataStart > 0 {
 			img.Symbols["__data_start"] = uint32(dataStart)
 		}
-		run := func(noCache bool) (*CPU, string) {
-			c := New(Config{MemSize: 1 << 16, MaxCycles: 1 << 16})
+		run := func(noCache bool) (*CPU, string, []uint64) {
+			c := New(Config{MemSize: 1 << 16, MaxCycles: uint64(budget) + 1})
 			c.noCache = noCache
 			if err := c.Load(img); err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			return c, renderOutcome(c, c.Run())
+			var progress []uint64
+			c.Progress = func(instructions, cycles uint64) {
+				progress = append(progress, instructions, cycles)
+			}
+			return c, renderOutcome(c, c.Run()), progress
 		}
-		cached, got := run(false)
-		bypass, want := run(true)
+		cached, got, gotProgress := run(false)
+		bypass, want, wantProgress := run(true)
 		if got != want {
 			t.Fatalf("outcome with the cache:\n%s\nbypassed:\n%s", got, want)
 		}
@@ -192,6 +201,9 @@ func FuzzCXPredecode(f *testing.F) {
 		}
 		if cached.Console() != bypass.Console() || !reflect.DeepEqual(cached.Stats(), bypass.Stats()) {
 			t.Fatalf("console or Stats differ: %q vs %q", cached.Console(), bypass.Console())
+		}
+		if !reflect.DeepEqual(gotProgress, wantProgress) {
+			t.Fatalf("Progress with the cache %v, bypassed %v", gotProgress, wantProgress)
 		}
 	})
 }

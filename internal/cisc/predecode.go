@@ -58,7 +58,8 @@ type inst struct {
 // the write watch that keeps it coherent with self-modifying stores.
 // Compiled images mark the code/data boundary with __data_start; hand-written
 // images are treated as all code. Storage is one int32 per code byte plus
-// one inst per instruction that has run; both are reused across Load.
+// one inst per instruction that has run, and one block pointer per code
+// byte; all are reused across Load.
 func (c *CPU) armCache(img *Image) {
 	n := len(img.Bytes)
 	if ds, ok := img.Symbols["__data_start"]; ok &&
@@ -73,12 +74,20 @@ func (c *CPU) armCache(img *Image) {
 		c.index = make([]int32, n)
 	}
 	c.insts = c.insts[:0]
+	if cap(c.blocks) >= n {
+		c.blocks = c.blocks[:n]
+		clear(c.blocks)
+	} else {
+		c.blocks = make([]*block, n)
+	}
+	c.blockSpan = 0
 	c.Mem.SetWriteWatch(img.Org, img.Org+uint32(n), c.invalidateCode)
 }
 
-// invalidateCode drops entries that could overlap a store at addr. An entry
-// starting at offset i spans at most maxInstBytes, so every entry from
-// maxInstBytes-1 before the store through its last byte is suspect.
+// invalidateCode drops entries that could overlap a store at addr, and the
+// blocks holding them. An entry starting at offset i spans at most
+// maxInstBytes, so every entry from maxInstBytes-1 before the store through
+// its last byte is suspect.
 func (c *CPU) invalidateCode(addr uint32, size int) {
 	c.codeGen++
 	lo := c.codeOrg
@@ -89,6 +98,7 @@ func (c *CPU) invalidateCode(addr uint32, size int) {
 	if end := c.codeOrg + uint32(len(c.index)); hi > end {
 		hi = end
 	}
+	c.dropBlocks(lo-c.codeOrg, hi-c.codeOrg)
 	for i := lo - c.codeOrg; i < hi-c.codeOrg; i++ {
 		if c.index[i] > 0 {
 			c.index[i] = -c.index[i]
