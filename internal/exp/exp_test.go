@@ -364,3 +364,50 @@ func TestE9TrafficComparable(t *testing.T) {
 		}
 	}
 }
+
+// TestE12ScalabilityShape pins the shape of the SMP scalability curves:
+// the data-parallel psum and pcrunch speed up at every step from 1 to 8
+// cores, while pqsort, whose merge serializes on core 0, peaks at 2 or 4
+// cores and then falls at 8.
+func TestE12ScalabilityShape(t *testing.T) {
+	res, err := E12SMPScalability(sharedLab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]E12Row{}
+	for _, r := range res.Rows {
+		if len(r.Cells) != len(E12CoreCounts) {
+			t.Fatalf("%s: %d cells, want one per core count %v", r.Name, len(r.Cells), E12CoreCounts)
+		}
+		rows[r.Name] = r
+	}
+	for _, name := range []string{"psum", "pcrunch"} {
+		cells := rows[name].Cells
+		if len(cells) == 0 {
+			t.Fatalf("no E12 row for %s", name)
+		}
+		for i := 1; i < len(cells); i++ {
+			if cells[i].Speedup <= cells[i-1].Speedup {
+				t.Errorf("%s: speedup %.2fx on %d cores, not above %.2fx on %d",
+					name, cells[i].Speedup, cells[i].Cores, cells[i-1].Speedup, cells[i-1].Cores)
+			}
+		}
+	}
+	cells := rows["pqsort"].Cells
+	if len(cells) == 0 {
+		t.Fatal("no E12 row for pqsort")
+	}
+	peak := cells[0]
+	for _, c := range cells {
+		if c.Speedup > peak.Speedup {
+			peak = c
+		}
+	}
+	if peak.Cores != 2 && peak.Cores != 4 {
+		t.Errorf("pqsort peaks at %d cores (%.2fx), want 2 or 4", peak.Cores, peak.Speedup)
+	}
+	if last := cells[len(cells)-1]; last.Cores != 8 || last.Speedup >= peak.Speedup {
+		t.Errorf("pqsort on %d cores: %.2fx, want a fall at 8 cores below the %.2fx peak",
+			last.Cores, last.Speedup, peak.Speedup)
+	}
+}
