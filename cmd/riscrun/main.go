@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	riscrun [-target windowed|flat|cisc|pipelined] [-policy delayed|squash] [-cores N] [-race] [-windows N] [-engine E] [-timeout D] [-max-cycles N] [-stats] [-profile F] prog.cm
-//	riscrun [-windows N] [-flat] [-engine E] [-timeout D] [-max-cycles N] [-stats] [-profile F] prog.s
+//	riscrun [-target windowed|flat|cisc|pipelined] [-policy delayed|squash] [-cores N] [-race] [-windows N] [-engine E] [-timeout D] [-max-cycles N] [-stats] [-profile F] [-cpuprofile F] prog.cm
+//	riscrun [-windows N] [-flat] [-engine E] [-timeout D] [-max-cycles N] [-stats] [-profile F] [-cpuprofile F] prog.s
 //
 // -race runs the program under the dynamic race detector (windowed target
 // only): any unsynchronized cross-core accesses to shared words are
@@ -22,6 +22,9 @@
 // opcode n-grams and the trace tier's counters — as JSON to the given
 // file ("-" for stdout). Heat is collected by the trace-capable engines
 // (auto, trace); under -engine block or step the profile is empty.
+//
+// -cpuprofile writes a host CPU profile of riscrun itself (compile and run)
+// to the given file, for go tool pprof.
 package main
 
 import (
@@ -30,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"risc1"
@@ -86,6 +90,7 @@ func main() {
 	cores := flag.Int("cores", 1, "shared-memory cores for .cm sources (windowed target only)")
 	race := flag.Bool("race", false, "run under the dynamic race detector (windowed .cm sources); races exit 1")
 	profile := flag.String("profile", "", "write the execution-heat profile as JSON to this file (- for stdout)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of riscrun to this file")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: riscrun [-target T] [-stats] prog.cm|prog.s")
@@ -94,6 +99,12 @@ func main() {
 	if *windows != 0 && *windows < 3 {
 		fmt.Fprintf(os.Stderr, "riscrun: -windows %d: a windowed machine needs at least 3 windows (0 = the paper's 8)\n", *windows)
 		os.Exit(2)
+	}
+	if *cpuProfile != "" {
+		if err := startCPUProfile(*cpuProfile); err != nil {
+			fatal(err)
+		}
+		defer stopCPUProfile()
 	}
 	path := flag.Arg(0)
 	srcBytes, err := os.ReadFile(path)
@@ -205,11 +216,37 @@ func main() {
 		}
 	}
 	if raced {
+		stopCPUProfile()
 		os.Exit(1)
 	}
 }
 
+// stopCPUProfile flushes the -cpuprofile file, if one is being written.
+// Every exit path calls it.
+var stopCPUProfile = func() {}
+
+// startCPUProfile starts writing a CPU profile to path.
+func startCPUProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	stopCPUProfile = func() {
+		stopCPUProfile = func() {}
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "riscrun:", err)
+		}
+	}
+	return nil
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "riscrun:", err)
+	stopCPUProfile()
 	os.Exit(1)
 }

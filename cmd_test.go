@@ -130,6 +130,15 @@ int main() { putint(twice(21)); return 0; }`), 0o644); err != nil {
 		t.Fatal("riscrun accepted an unknown -engine")
 	}
 
+	// -cpuprofile writes a pprof profile of the run (gzip-compressed).
+	prof := filepath.Join(dir, "cpu.pprof")
+	if out := runTool(t, "./cmd/riscrun", "-target", "cisc", "-cpuprofile", prof, cm); !strings.HasPrefix(out, "42\n") {
+		t.Fatalf("riscrun -cpuprofile printed %q", out)
+	}
+	if b, err := os.ReadFile(prof); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("riscrun -cpuprofile wrote %d bytes (%v), want a gzip-compressed profile", len(b), err)
+	}
+
 	// riscasm: assemble the compiler's output; then riscdis round trip.
 	s := filepath.Join(dir, "p.s")
 	if err := os.WriteFile(s, []byte(asmText), 0o644); err != nil {
