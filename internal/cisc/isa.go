@@ -9,7 +9,8 @@
 // CX is deliberately not binary-compatible with any real VAX; what matters
 // for the reproduction is that it embodies the CISC design point — dense
 // code, few registers, multi-cycle microcoded instructions, expensive
-// procedure calls — with a documented, inspectable cost model (timing.go).
+// procedure calls — with a documented, inspectable cost model: the opcode
+// base costs in opTable and specCycles below, and accessCycles in cpu.go.
 package cisc
 
 import "fmt"
@@ -102,7 +103,8 @@ const (
 type opInfo struct {
 	name     string
 	operands []operandKind
-	// base microcycle cost; see timing.go for the full model.
+	// base microcycle cost; each specifier adds its specCycles and each
+	// data access accessCycles (cpu.go).
 	base uint64
 }
 
