@@ -112,12 +112,10 @@ func (m *Memory) SetFaultPlan(p *FaultPlan) {
 }
 
 // injectFault applies the armed plan to one access, returning the injected
-// fault if the plan says this access fails.
+// fault if the plan says this access fails. It is not inlinable, so every
+// accessor calls it only when a plan is armed.
 func (m *Memory) injectFault(kind AccessKind, addr uint32, size int) error {
 	p := m.fault
-	if p == nil {
-		return nil
-	}
 	switch kind {
 	case AccessLoad:
 		p.reads++
@@ -352,8 +350,10 @@ func (m *Memory) notifyWrite(addr uint32, size int) {
 
 // Load8 reads one byte.
 func (m *Memory) Load8(addr uint32) (uint8, error) {
-	if err := m.injectFault(AccessLoad, addr, 1); err != nil {
-		return 0, err
+	if m.fault != nil {
+		if err := m.injectFault(AccessLoad, addr, 1); err != nil {
+			return 0, err
+		}
 	}
 	if m.isConsole(addr) {
 		m.Reads++
@@ -371,8 +371,10 @@ func (m *Memory) Load8(addr uint32) (uint8, error) {
 
 // Load16 reads a big-endian halfword.
 func (m *Memory) Load16(addr uint32) (uint16, error) {
-	if err := m.injectFault(AccessLoad, addr, 2); err != nil {
-		return 0, err
+	if m.fault != nil {
+		if err := m.injectFault(AccessLoad, addr, 2); err != nil {
+			return 0, err
+		}
 	}
 	if m.isConsole(addr) {
 		m.Reads += 2
@@ -390,8 +392,10 @@ func (m *Memory) Load16(addr uint32) (uint16, error) {
 
 // Load32 reads a big-endian word.
 func (m *Memory) Load32(addr uint32) (uint32, error) {
-	if err := m.injectFault(AccessLoad, addr, 4); err != nil {
-		return 0, err
+	if m.fault != nil {
+		if err := m.injectFault(AccessLoad, addr, 4); err != nil {
+			return 0, err
+		}
 	}
 	if m.isConsole(addr) {
 		m.Reads += 4
@@ -414,8 +418,10 @@ func (m *Memory) Load32(addr uint32) (uint32, error) {
 // Fetch32 reads an instruction word. It is identical to Load32 except it
 // does not count toward data-read traffic and reports fetch faults.
 func (m *Memory) Fetch32(addr uint32) (uint32, error) {
-	if err := m.injectFault(AccessFetch, addr, 4); err != nil {
-		return 0, err
+	if m.fault != nil {
+		if err := m.injectFault(AccessFetch, addr, 4); err != nil {
+			return 0, err
+		}
 	}
 	if err := m.check(AccessFetch, addr, 4); err != nil {
 		return 0, err
@@ -427,8 +433,10 @@ func (m *Memory) Fetch32(addr uint32) (uint32, error) {
 // FetchByte reads one instruction byte (used by the variable-length CX
 // machine's fetch unit). Not counted as data traffic.
 func (m *Memory) FetchByte(addr uint32) (uint8, error) {
-	if err := m.injectFault(AccessFetch, addr, 1); err != nil {
-		return 0, err
+	if m.fault != nil {
+		if err := m.injectFault(AccessFetch, addr, 1); err != nil {
+			return 0, err
+		}
 	}
 	if err := m.check(AccessFetch, addr, 1); err != nil {
 		return 0, err
@@ -438,8 +446,10 @@ func (m *Memory) FetchByte(addr uint32) (uint8, error) {
 
 // Store8 writes one byte.
 func (m *Memory) Store8(addr uint32, v uint8) error {
-	if err := m.injectFault(AccessStore, addr, 1); err != nil {
-		return err
+	if m.fault != nil {
+		if err := m.injectFault(AccessStore, addr, 1); err != nil {
+			return err
+		}
 	}
 	if m.isConsole(addr) {
 		return m.consoleStore(addr, uint32(v), 1)
@@ -459,8 +469,10 @@ func (m *Memory) Store8(addr uint32, v uint8) error {
 
 // Store16 writes a big-endian halfword.
 func (m *Memory) Store16(addr uint32, v uint16) error {
-	if err := m.injectFault(AccessStore, addr, 2); err != nil {
-		return err
+	if m.fault != nil {
+		if err := m.injectFault(AccessStore, addr, 2); err != nil {
+			return err
+		}
 	}
 	if m.isConsole(addr) {
 		return m.consoleStore(addr, uint32(v), 2)
@@ -481,8 +493,10 @@ func (m *Memory) Store16(addr uint32, v uint16) error {
 
 // Store32 writes a big-endian word.
 func (m *Memory) Store32(addr uint32, v uint32) error {
-	if err := m.injectFault(AccessStore, addr, 4); err != nil {
-		return err
+	if m.fault != nil {
+		if err := m.injectFault(AccessStore, addr, 4); err != nil {
+			return err
+		}
 	}
 	if m.isConsole(addr) {
 		return m.consoleStore(addr, v, 4)
