@@ -119,26 +119,52 @@ func categoryCycles(cat isa.Category) uint8 {
 
 // nextBlock resolves the block for the current machine state, or nil when
 // the state requires single-stepping: mid-delay-slot, an interrupt
-// pending, the PC outside the predecoded range, a budget (context batch)
-// smaller than the block, or MaxCycles close enough that the block could
-// overrun it.
-func (c *CPU) nextBlock(budget int) (*block, uint32) {
+// pending, the PC outside the predecoded range, or MaxCycles close enough
+// that the run could overrun it. It also returns how much of the block to
+// run: nops body ops covering k instructions. That is the whole block when
+// it fits the budget (the batch remainder). When it does not and prefix is
+// set, it is a prefix: the leading body ops that fit, whole ops only and
+// never the terminator, its fused compare or the slot. Otherwise the
+// state single-steps.
+func (c *CPU) nextBlock(budget int, prefix bool) (b *block, w uint32, nops, k int) {
 	if c.inDelay || len(c.pendIRQ) > 0 {
-		return nil, 0
+		return nil, 0, 0, 0
 	}
 	off := c.pc - c.codeOrg
 	if off&3 != 0 || off>>2 >= uint32(len(c.predec)) {
-		return nil, 0
+		return nil, 0, 0, 0
 	}
-	w := off >> 2
-	b := c.blockAt(w)
-	if b.nInst == 0 || b.nInst > budget {
-		return nil, 0
+	w = off >> 2
+	b = c.blockAt(w)
+	if b.nInst == 0 {
+		return nil, 0, 0, 0
 	}
-	if c.stat.Cycles+b.cyclesButLast >= c.cfg.MaxCycles {
-		return nil, 0
+	if b.nInst <= budget {
+		if c.stat.Cycles+b.cyclesButLast >= c.cfg.MaxCycles {
+			return nil, 0, 0, 0
+		}
+		return b, w, len(b.ops), b.nInst
 	}
-	return b, w
+	if !prefix {
+		return nil, 0, 0, 0
+	}
+	for nops < len(b.ops) && int(b.ops[nops].fidx) < budget {
+		nops++
+	}
+	if nops == 0 {
+		return nil, 0, 0, 0
+	}
+	k = int(b.ops[nops-1].fidx) + 1
+	// The same start rule as a whole block's: only the last instruction's
+	// start can trip the budget first.
+	cycles := c.stat.Cycles
+	for _, ic := range b.costs[:k-1] {
+		cycles += uint64(ic.cycles)
+	}
+	if cycles >= c.cfg.MaxCycles {
+		return nil, 0, 0, 0
+	}
+	return b, w, nops, k
 }
 
 // blockAt returns the compiled block leading at word w, compiling it on
@@ -248,24 +274,33 @@ func (c *CPU) compileBody(start, n int) []blockOp {
 // blockPC is the address of the block-relative instruction idx.
 func (b *block) blockPC(idx int) uint32 { return b.startPC + uint32(4*idx) }
 
-// runBlock executes b once. It charges all b.nInst instructions up front
-// and unwinds those an early exit kept from running; every exit reports
-// what retired to the Retire hook. Preconditions (nextBlock): not halted,
-// not in a delay slot, no interrupt pending, pc == b.startPC, and
-// Cycles+cyclesButLast < MaxCycles.
-func (c *CPU) runBlock(w uint32, b *block) error {
-	// Batched accounting: charge the whole block up front. Every early exit
+// runBlock executes the first k instructions of b, its first nops body
+// ops: the whole block (k == b.nInst) or a prefix of its body (see
+// nextBlock). It charges all k instructions up front and unwinds those an
+// early exit kept from running; every exit reports what retired to the
+// Retire hook. Preconditions (nextBlock): not halted, not in a delay slot,
+// no interrupt pending, pc == b.startPC, and the run's instructions but
+// the last fit under MaxCycles.
+func (c *CPU) runBlock(w uint32, b *block, nops, k int) error {
+	// Batched accounting: charge the whole run up front. Every early exit
 	// below unwinds the instructions that did not run.
-	c.stat.Instructions += uint64(b.nInst)
-	c.stat.Cycles += b.fixedCycles
-	for _, oc := range b.counts {
-		c.opCounts[oc.op] += uint64(oc.n)
+	c.stat.Instructions += uint64(k)
+	if k == b.nInst {
+		c.stat.Cycles += b.fixedCycles
+		for _, oc := range b.counts {
+			c.opCounts[oc.op] += uint64(oc.n)
+		}
+	} else {
+		for _, ic := range b.costs[:k] {
+			c.stat.Cycles += uint64(ic.cycles)
+			c.opCounts[ic.op]++
+		}
 	}
 
-	for i := range b.ops {
+	for i := range b.ops[:nops] {
 		op := &b.ops[i]
 		if err := op.fn(c); err != nil {
-			err = c.blockFault(b, int(op.fidx), err)
+			err = c.blockFault(b, int(op.fidx), k, err)
 			c.retired(w, int(op.fidx), false)
 			return err
 		}
@@ -274,7 +309,7 @@ func (c *CPU) runBlock(w uint32, b *block) error {
 			// code). Stop after the store — exactly where the predecode
 			// cache's step path would pick up the fresh bytes.
 			next := int(op.fidx) + 1
-			c.unwindBlock(b, next)
+			c.unwindBlock(b, next, k)
 			c.lastPC = b.blockPC(int(op.fidx))
 			c.pc = b.blockPC(next)
 			c.npc = c.pc + 4
@@ -283,13 +318,14 @@ func (c *CPU) runBlock(w uint32, b *block) error {
 		}
 	}
 
-	if !b.term {
-		// Fell off the straight-line end; the next word single-steps.
-		end := b.blockPC(b.nInst)
+	if k < b.nInst || !b.term {
+		// Ran a prefix, or fell off the straight-line end: the next word
+		// starts a fresh block or single-steps.
+		end := b.blockPC(k)
 		c.lastPC = end - 4
 		c.pc = end
 		c.npc = end + 4
-		c.retired(w, b.nInst, false)
+		c.retired(w, k, false)
 		return nil
 	}
 
@@ -331,7 +367,7 @@ func (c *CPU) runBlock(w uint32, b *block) error {
 	if err != nil {
 		// The transfer faulted in the window machinery; it stays charged
 		// (Step charges before executing), the slot never ran.
-		c.unwindBlock(b, b.termIdx+1)
+		c.unwindBlock(b, b.termIdx+1, b.nInst)
 		if b.termIdx > 0 {
 			c.lastPC = termPC - 4
 		}
@@ -356,14 +392,14 @@ func (c *CPU) runBlock(w uint32, b *block) error {
 	if c.halted {
 		// RET to HaltAddr halts during the transfer itself; the slot never
 		// executes.
-		c.unwindBlock(b, b.termIdx+1)
+		c.unwindBlock(b, b.termIdx+1, b.nInst)
 		c.retired(w, b.termIdx+1, false)
 		return nil
 	}
 	// The transfer may have accrued dynamic spill/fill cycles; re-check the
 	// budget exactly where Step would, at the slot boundary.
 	if c.stat.Cycles-uint64(b.costs[b.termIdx+1].cycles) >= c.cfg.MaxCycles {
-		c.unwindBlock(b, b.termIdx+1)
+		c.unwindBlock(b, b.termIdx+1, b.nInst)
 		err := c.runError(c.pc, ErrMaxCycles)
 		c.retired(w, b.termIdx+1, transferred)
 		return err
@@ -403,11 +439,12 @@ func (c *CPU) reportRun(w uint32, k int, taken bool) {
 	}
 }
 
-// blockFault unwinds a body fault at block-relative instruction fidx and
-// restores the machine state Step would show: the faulting instruction is
-// current (and stays charged), nothing after it happened.
-func (c *CPU) blockFault(b *block, fidx int, err error) error {
-	c.unwindBlock(b, fidx+1)
+// blockFault unwinds a body fault at block-relative instruction fidx of a
+// run charged through instruction end-1 and restores the machine state
+// Step would show: the faulting instruction is current (and stays
+// charged), nothing after it happened.
+func (c *CPU) blockFault(b *block, fidx, end int, err error) error {
+	c.unwindBlock(b, fidx+1, end)
 	fpc := b.blockPC(fidx)
 	if fidx > 0 {
 		c.lastPC = fpc - 4
@@ -417,10 +454,10 @@ func (c *CPU) blockFault(b *block, fidx int, err error) error {
 	return c.runError(fpc, err)
 }
 
-// unwindBlock removes the batched accounting of instructions [from, nInst)
+// unwindBlock removes the batched accounting of instructions [from, end)
 // that a fault, a halt, or an invalidation bail-out kept from executing.
-func (c *CPU) unwindBlock(b *block, from int) {
-	for _, ic := range b.costs[from:] {
+func (c *CPU) unwindBlock(b *block, from, end int) {
+	for _, ic := range b.costs[from:end] {
 		c.stat.Instructions--
 		c.stat.Cycles -= uint64(ic.cycles)
 		c.opCounts[ic.op]--

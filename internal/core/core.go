@@ -236,10 +236,13 @@ type CPU struct {
 	// instructions in execution order, at addresses pc, pc+4, ..., and
 	// taken reports whether the run's control transfer (if it retired one)
 	// was taken. Step reports each instruction as a run of one; the block
-	// engine reports a whole block or the retired prefix of a block stopped early (a fault, a store into its
-	// own code, a halt or MaxCycles). An instruction that faults is never
-	// reported. While it is installed the trace tier stands down, since
-	// superblocks do not expose their retirements; blocks still run.
+	// engine reports a whole block, the retired prefix of a block stopped
+	// early (a fault, a store into its own code, a halt or MaxCycles), or a
+	// prefix run: where a block is longer than what is left of the batch,
+	// the leading body instructions that fit run as one run with no
+	// transfer. An instruction that faults is never reported. While it is installed the trace tier
+	// stands down, since superblocks do not expose their retirements;
+	// blocks still run.
 	// insts may alias the predecode cache: the hook must not keep or
 	// modify it.
 	Retire func(pc uint32, insts []isa.Inst, taken bool)
@@ -496,16 +499,23 @@ func (c *CPU) runSlice(budget int, useBlocks, useTraces bool) (int, error) {
 				break
 			}
 		}
-		if b, w := c.nextBlock(budget); b != nil {
-			err := c.runBlock(w, b)
+		// Under traces a block longer than the budget single-steps: the
+		// heat profile and trace selection are pinned to that batching.
+		if b, w, nops, k := c.nextBlock(budget, !useTraces); b != nil {
+			// A run stopped early (a fault, a halt, a store into its own
+			// block) charges fewer than k: count what it charged, as Step
+			// would.
+			before := c.stat.Instructions
+			err := c.runBlock(w, b, nops, k)
 			if useTraces {
 				c.bumpHeat(w)
 			}
-			executed += b.nInst
+			n := int(c.stat.Instructions - before)
+			executed += n
 			if err != nil {
 				return executed, err
 			}
-			budget -= b.nInst
+			budget -= n
 			continue
 		}
 		if err := c.Step(); err != nil {

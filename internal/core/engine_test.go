@@ -7,6 +7,7 @@ import (
 
 	"risc1/internal/asm"
 	"risc1/internal/isa"
+	"risc1/internal/mem"
 )
 
 // The compiled engines' contract is observational equivalence with Step.
@@ -15,10 +16,20 @@ import (
 // state — PC pair, lastPC, flags, windows, console, full Stats(), and
 // fault identity — to match exactly.
 
-// runEngine loads img into a fresh CPU with the given engine and runs it.
-// The trace engine gets an aggressive HotThreshold (unless the test set
-// one) so superblocks actually compile inside small test workloads.
-func runEngine(t *testing.T, cfg Config, e Engine, img *asm.Image) (*CPU, error) {
+// runLog is what a run's hooks saw: the counters at every Progress call
+// and, under the step and block engines, every retired instruction. The
+// trace engine gets no Retire hook, since the trace tier stands down under
+// one.
+type runLog struct {
+	progress [][2]uint64
+	retired  []retirement
+}
+
+// runEngine loads img into a fresh CPU with the given engine, arms plan
+// (nil for none) and runs it, logging its hooks. The trace engine gets an
+// aggressive HotThreshold (unless the test set one) so superblocks
+// actually compile inside small test workloads.
+func runEngine(t *testing.T, cfg Config, e Engine, img *asm.Image, plan *mem.FaultPlan) (*CPU, *runLog, error) {
 	t.Helper()
 	cfg.Engine = e
 	if e == EngineTrace && cfg.HotThreshold == 0 {
@@ -28,7 +39,17 @@ func runEngine(t *testing.T, cfg Config, e Engine, img *asm.Image) (*CPU, error)
 	if err := c.Load(img); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	return c, c.Run()
+	if plan != nil {
+		c.Mem.SetFaultPlan(plan)
+	}
+	log := &runLog{}
+	c.Progress = func(instructions, cycles uint64) {
+		log.progress = append(log.progress, [2]uint64{instructions, cycles})
+	}
+	if e != EngineTrace {
+		recordRetire(t, c, &log.retired)
+	}
+	return c, log, c.Run()
 }
 
 // diffEngines runs img under the step oracle and both compiled engines
@@ -36,12 +57,52 @@ func runEngine(t *testing.T, cfg Config, e Engine, img *asm.Image) (*CPU, error)
 func diffEngines(t *testing.T, cfg Config, src string) (*CPU, *CPU) {
 	t.Helper()
 	img := asm.MustAssemble(src)
-	cs, errS := runEngine(t, cfg, EngineStep, img)
-	cb, errB := runEngine(t, cfg, EngineBlock, img)
+	cs, ls, errS := runEngine(t, cfg, EngineStep, img, nil)
+	cb, lb, errB := runEngine(t, cfg, EngineBlock, img, nil)
 	compareEngines(t, "block", cs, cb, errS, errB)
-	ct, errT := runEngine(t, cfg, EngineTrace, img)
+	compareHooks(t, ls, lb)
+	ct, _, errT := runEngine(t, cfg, EngineTrace, img, nil)
 	compareEngines(t, "trace", cs, ct, errS, errT)
 	return cs, cb
+}
+
+// compareHooks checks that the block engine's hooks saw what the step
+// oracle's did: Progress at the same batch boundaries with the same
+// counters, and the same per-instruction Retire stream. Prefix runs at
+// batch cuts must leave both unchanged.
+func compareHooks(t *testing.T, ls, lb *runLog) {
+	t.Helper()
+	if i := firstDiff(ls.progress, lb.progress); i >= 0 {
+		t.Fatalf("Progress call %d differs (step made %d calls, block %d): step %v, block %v",
+			i, len(ls.progress), len(lb.progress), at(ls.progress, i), at(lb.progress, i))
+	}
+	if i := firstDiff(ls.retired, lb.retired); i >= 0 {
+		t.Fatalf("retirement %d differs (step retired %d, block %d): step %+v, block %+v",
+			i, len(ls.retired), len(lb.retired), at(ls.retired, i), at(lb.retired, i))
+	}
+}
+
+// firstDiff returns the first index where a and b differ, or -1.
+func firstDiff[T comparable](a, b []T) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return n
+	}
+	return -1
+}
+
+// at returns s[i], or the zero value past its end.
+func at[T any](s []T, i int) T {
+	var z T
+	if i < len(s) {
+		return s[i]
+	}
+	return z
 }
 
 // compareEngines checks co (ran under the engine called name) against the
@@ -228,13 +289,14 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			img := asm.MustAssemble(tc.src)
-			cs, errS := runEngine(t, tc.cfg, EngineStep, img)
-			cb, errB := runEngine(t, tc.cfg, EngineBlock, img)
+			cs, ls, errS := runEngine(t, tc.cfg, EngineStep, img, nil)
+			cb, lb, errB := runEngine(t, tc.cfg, EngineBlock, img, nil)
 			if errS == nil {
 				t.Fatalf("expected a fault, got clean run")
 			}
 			compareEngines(t, "block", cs, cb, errS, errB)
-			ct, errT := runEngine(t, tc.cfg, EngineTrace, img)
+			compareHooks(t, ls, lb)
+			ct, _, errT := runEngine(t, tc.cfg, EngineTrace, img, nil)
 			compareEngines(t, "trace", cs, ct, errS, errT)
 		})
 	}
@@ -251,10 +313,11 @@ func TestEngineEquivalenceMaxCycles(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			img := asm.MustAssemble(src)
 			for limit := uint64(1); limit <= 600; limit++ {
-				cs, errS := runEngine(t, Config{MaxCycles: limit}, EngineStep, img)
-				cb, errB := runEngine(t, Config{MaxCycles: limit}, EngineBlock, img)
+				cs, ls, errS := runEngine(t, Config{MaxCycles: limit}, EngineStep, img, nil)
+				cb, lb, errB := runEngine(t, Config{MaxCycles: limit}, EngineBlock, img, nil)
 				compareEngines(t, "block", cs, cb, errS, errB)
-				ct, errT := runEngine(t, Config{MaxCycles: limit}, EngineTrace, img)
+				compareHooks(t, ls, lb)
+				ct, _, errT := runEngine(t, Config{MaxCycles: limit}, EngineTrace, img, nil)
 				compareEngines(t, "trace", cs, ct, errS, errT)
 			}
 		})
@@ -490,5 +553,109 @@ func TestInvalidEngineClamped(t *testing.T) {
 	}
 	if !c.Halted() {
 		t.Error("machine did not halt")
+	}
+}
+
+// batchCutSrc runs a loop whose leading block is longer than most batch
+// remainders it meets, so batch cuts land at varying offsets inside it and
+// the block engine runs prefixes there. Every trip also copies one word of
+// the loop over itself, walking forward through the body: the store lands
+// in the block that is running, often inside the prefix that has already
+// run.
+const batchCutSrc = `
+	main:	li #buf,r1
+		li #body,r4
+		add r0,#0,r2
+	loop:	add r2,#1,r2
+	body:	add r5,#1,r5
+		ldl (r1)#0,r6
+		add r6,#3,r6
+		stl r6,(r1)#0
+		add r5,r6,r7
+		xor r7,#0x55,r7
+		sll r7,#2,r8
+		srl r8,#1,r8
+		sub r8,r7,r8
+		ldl (r4)#0,r9
+		stl r9,(r4)#0
+		add r4,#4,r4
+		add r7,r8,r10
+		or r10,#1,r10
+		and r10,#0xff,r11
+		ldl (r1)#4,r12
+		add r12,r11,r12
+		stl r12,(r1)#4
+		add r11,#7,r11
+		sub r11,#2,r11
+		add r5,r11,r5
+		xor r5,r12,r13
+		add r13,#1,r13
+		add r13,#2,r13
+		add r13,#3,r13
+		add r13,#4,r13
+		cmp r2,#14
+		blt loop
+		nop
+		stl r5,(r0)#` + putIntDisp + `
+		ret r25,#8
+		nop
+		.align 4
+	buf:	.word 0
+		.word 0
+	`
+
+// TestEngineEquivalenceBatchCut pins prefix runs at batch cuts against the
+// step oracle: machine state, Stats, Progress calls and the Retire stream
+// must match under every MaxCycles boundary of the run and with the Nth
+// data read or write failing, for every N the run reaches.
+func TestEngineEquivalenceBatchCut(t *testing.T) {
+	img := asm.MustAssemble(batchCutSrc)
+	diff := func(cfg Config, plan func() *mem.FaultPlan) *CPU {
+		t.Helper()
+		cs, ls, errS := runEngine(t, cfg, EngineStep, img, plan())
+		cb, lb, errB := runEngine(t, cfg, EngineBlock, img, plan())
+		compareEngines(t, "block", cs, cb, errS, errB)
+		compareHooks(t, ls, lb)
+		ct, _, errT := runEngine(t, cfg, EngineTrace, img, plan())
+		compareEngines(t, "trace", cs, ct, errS, errT)
+		return cs
+	}
+	none := func() *mem.FaultPlan { return nil }
+	cs := diff(Config{}, none)
+	s := cs.Stats()
+	for limit := uint64(1); limit <= s.Cycles; limit++ {
+		diff(Config{MaxCycles: limit}, none)
+	}
+	// Every data access of the program is a word.
+	for n := uint64(1); n <= s.DataReads/4; n++ {
+		diff(Config{}, func() *mem.FaultPlan { return &mem.FaultPlan{FailNthRead: n} })
+	}
+	for n := uint64(1); n <= s.DataWrites/4; n++ {
+		diff(Config{}, func() *mem.FaultPlan { return &mem.FaultPlan{FailNthWrite: n} })
+	}
+
+	// The loop must really exercise the mechanism: some block runs end at
+	// a batch cut without their transfer, and some stop after a store into
+	// their own block.
+	c := New(Config{Engine: EngineBlock})
+	if err := c.Load(img); err != nil {
+		t.Fatal(err)
+	}
+	var cuts, selfStores int
+	c.Retire = func(pc uint32, insts []isa.Inst, taken bool) {
+		last := insts[len(insts)-1]
+		if len(insts) > 1 && c.stat.Instructions%runBatch == 0 && !last.Op.Transfers() &&
+			!insts[len(insts)-2].Op.Transfers() {
+			cuts++
+		}
+		if last.Op == isa.OpSTL && c.blocks[(pc-c.codeOrg)>>2] == nil {
+			selfStores++
+		}
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if cuts == 0 || selfStores == 0 {
+		t.Fatalf("block runs ending at a batch cut: %d; stopped by a store into their own block: %d", cuts, selfStores)
 	}
 }

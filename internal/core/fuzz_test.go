@@ -117,9 +117,10 @@ func FuzzExec(f *testing.F) {
 // compiled engines: the same code bytes run under the step oracle, the
 // block engine and the trace tier, and the complete observable outcome —
 // PC state at three mid-run checkpoints and at the end, Stats(), console
-// output, and fault identity — must match exactly. The checkpoints come
-// from truncating MaxCycles, which exercises the batched-accounting split
-// at arbitrary block and trace offsets. Seeds deliberately include
+// output, and fault identity — must match exactly; step and block must
+// also make the same Progress calls and report the same Retire stream.
+// The checkpoints come from truncating MaxCycles, which exercises the
+// batched-accounting split at arbitrary block and trace offsets. Seeds deliberately include
 // trace-hostile programs: a loop whose branch flips direction after
 // warming up (forcing a superblock side exit), a loop that stores over
 // its own compiled body (forcing trace invalidation mid-flight), and a
@@ -184,10 +185,11 @@ func FuzzEngineEquivalence(f *testing.F) {
 		img := &asm.Image{Org: 0, Entry: 0, Bytes: code}
 		for _, mc := range []uint64{budget/4 + 1, budget/2 + 1, budget} {
 			cfg := Config{MemSize: 1 << 16, MaxCycles: mc}
-			cs, errS := runEngine(t, cfg, EngineStep, img)
-			cb, errB := runEngine(t, cfg, EngineBlock, img)
+			cs, ls, errS := runEngine(t, cfg, EngineStep, img, nil)
+			cb, lb, errB := runEngine(t, cfg, EngineBlock, img, nil)
 			compareEngines(t, "block", cs, cb, errS, errB)
-			ct, errT := runEngine(t, cfg, EngineTrace, img)
+			compareHooks(t, ls, lb)
+			ct, _, errT := runEngine(t, cfg, EngineTrace, img, nil)
 			compareEngines(t, "trace", cs, ct, errS, errT)
 		}
 	})

@@ -700,7 +700,7 @@ func (c *CPU) runChain(tr *trace, budget int) (int, error) {
 		if c.stat.Cycles+b.cyclesButLast >= c.cfg.MaxCycles {
 			break
 		}
-		err := c.runBlock(s.w, b)
+		err := c.runBlock(s.w, b, len(b.ops), b.nInst)
 		consumed += b.nInst
 		c.heat[s.w]++
 		if err != nil {
