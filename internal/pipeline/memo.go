@@ -11,18 +11,22 @@ import (
 // only observe the last three retirements (an older producer is read from
 // the register file and its MEM cycle has left the port queue), the
 // pending bubble, the delay-slot state, and the run's own outcome. runKey
-// and the tail key pack exactly those inputs. The first run of a block from a given key is
-// priced instruction by instruction and the result stored under its
-// leader; every later run from the same key adds the stored deltas and
-// restores the stored exit tail. The memo caches the scoreboard's output;
-// it is not a second timing model.
+// and the tail key pack exactly those inputs, runKey with the run's leader
+// word. The first run of a block from a given key is priced instruction by
+// instruction and its effect stored as a memo entry, found again with one
+// probe of an open-addressed index over the whole key. A later run from the
+// same key moves only the state the next run starts from (the EX cycle, the
+// pending bubble, the delay-slot bits, the window and the exit tail) and
+// counts a hit on the entry; Result and flushMemo add each entry's counter
+// deltas times its hits. The memo caches the scoreboard's output; it is
+// not a second timing model.
 
 // memoEntry is the priced effect of one run from one entry key: counter
 // deltas, the exit tail and the state the next run starts from.
 type memoEntry struct {
 	k0, k1 uint64 // entry key: run shape, then the scoreboard tail
 	tail   uint64 // exit tail, encoded like k1
-	next   int32  // index+1 of the leader's next entry; 0 ends the chain
+	hits   uint64 // runs priced from the entry, not yet added into res
 
 	pending uint32 // exit pending bubble
 	dEx     uint16
@@ -54,6 +58,14 @@ type memoState struct {
 	memo   []memoEntry // one slice per Machine, reused across Load
 	memoOK bool        // destination registers fit the key's 16 bits
 
+	// index is an open-addressed table over memo with linear probing: each
+	// slot holds the index+1 of an entry, 0 when empty. Its length is a
+	// power of two, sized from the code span at Load and doubled before an
+	// insert would fill more than half of it, so every probe ends at an
+	// empty slot. shift takes a hash's top bits as a slot.
+	index []int32
+	shift uint
+
 	// tailKey is the last three retirements encoded relative to ex and
 	// the current window: the k1 half of the next run's key. After a hit
 	// it is the only up-to-date copy of the tail, and stale is set until
@@ -74,21 +86,97 @@ type memoState struct {
 	hits, misses, flushes uint64
 }
 
+// memoSlotsPerWord sizes the index at Load: slots per word of code.
+const memoSlotsPerWord = 4
+
 func (m *Machine) resetMemo() {
 	m.memo = m.memo[:0]
+	m.sizeIndex(memoSlotsPerWord * len(m.desc))
 	m.tailKey, m.stale = 0, false
 	m.gen = m.cpu.CodeGen()
 	m.epoch = 1 // every cleared word (vepoch 0) starts unchecked
 	m.hits, m.misses, m.flushes = 0, 0, 0
 }
 
-// flushMemo drops every memo entry.
-func (m *Machine) flushMemo() {
-	m.memo = m.memo[:0]
-	for i := range m.desc {
-		m.desc[i].head = 0
+// sizeIndex empties the index and gives it the smallest power-of-two
+// length of at least n slots (and at least 64), reusing its array.
+func (m *Machine) sizeIndex(n int) {
+	size, shift := 64, uint(64-6)
+	for size < n {
+		size, shift = size*2, shift-1
 	}
+	if cap(m.index) < size {
+		m.index = make([]int32, size)
+	} else {
+		m.index = m.index[:size]
+		clear(m.index)
+	}
+	m.shift = shift
+}
+
+// memoHash mixes a memo key into 64 bits; the index takes the top bits.
+func memoHash(k0, k1 uint64) uint64 {
+	return (k1 ^ k0*0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
+}
+
+// lookup returns the memo entry for key (k0, k1), or nil.
+func (m *Machine) lookup(k0, k1 uint64) *memoEntry {
+	mask := len(m.index) - 1
+	for i := int(memoHash(k0, k1) >> m.shift); ; i = (i + 1) & mask {
+		j := m.index[i]
+		if j == 0 {
+			return nil
+		}
+		if me := &m.memo[j-1]; me.k1 == k1 && me.k0 == k0 {
+			return me
+		}
+	}
+}
+
+// insert adds memo entry j (an index into memo) to the index. The key is
+// not present.
+func (m *Machine) insert(j int) {
+	me := &m.memo[j]
+	mask := len(m.index) - 1
+	i := int(memoHash(me.k0, me.k1) >> m.shift)
+	for m.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	m.index[i] = int32(j + 1)
+}
+
+// flushMemo adds every entry's counted hits into res and drops the memo.
+func (m *Machine) flushMemo() {
+	m.addHits(&m.res)
+	m.memo = m.memo[:0]
+	clear(m.index)
 	m.flushes++
+}
+
+// addHits adds the priced effect of every counted memo hit into r.
+func (m *Machine) addHits(r *Result) {
+	for i := range m.memo {
+		me := &m.memo[i]
+		n := me.hits
+		if n == 0 {
+			continue
+		}
+		r.Instructions += n * (me.k0 & 0xFF)
+		r.LoadUseStallCycles += n * uint64(me.loadUse)
+		r.WindowStallCycles += n * uint64(me.window)
+		r.FlushBubbleCycles += n * uint64(me.flush)
+		r.MemPortStallCycles += n * uint64(me.memPort)
+		r.ForwardsEXMEM += n * uint64(me.fwdEXMEM)
+		r.ForwardsMEMWB += n * uint64(me.fwdMEMWB)
+		r.DelaySlots += n * uint64(me.slots)
+		r.DelaySlotsFilled += n * uint64(me.filled)
+		if me.bits&meTransfer != 0 {
+			r.Transfers += n
+			if me.bits&meTaken != 0 {
+				r.TakenTransfers += n
+			}
+		}
+	}
 }
 
 // retire is the core's Retire hook: it prices one run of retirements. All
@@ -118,7 +206,11 @@ func (m *Machine) retire(pc uint32, insts []isa.Inst, taken bool) {
 		m.tailKey = m.encodeTail()
 		return
 	}
-	m.verify(w, insts)
+	// Within one code generation a word cannot change, so each leader is
+	// verified once per generation.
+	if e := &m.desc[w]; e.vepoch != m.epoch || int(e.vlen) < len(insts) || m.bypass {
+		m.verify(w, insts)
+	}
 	if moved {
 		// The run itself may have stored over code it already retired:
 		// what it verified need not be what runs next.
@@ -126,18 +218,13 @@ func (m *Machine) retire(pc uint32, insts []isa.Inst, taken bool) {
 	}
 
 	n := len(insts)
-	k0, keyed := runKey(n, taken, ovf, unf, m.pending, m.slotPending, m.slotTaken)
+	k0, keyed := runKey(w, n, taken, ovf, unf, m.pending, m.slotPending, m.slotTaken)
 	keyed = keyed && m.memoOK && !m.bypass
-	e := &m.desc[w]
 	if keyed {
-		for i := e.head; i != 0; {
-			me := &m.memo[i-1]
-			if me.k0 == k0 && me.k1 == m.tailKey {
-				m.apply(me, n)
-				m.hits++
-				return
-			}
-			i = me.next
+		if me := m.lookup(k0, m.tailKey); me != nil {
+			m.apply(me)
+			m.hits++
+			return
 		}
 		m.misses++
 	}
@@ -149,21 +236,19 @@ func (m *Machine) retire(pc uint32, insts []isa.Inst, taken bool) {
 	}
 	m.tailKey = m.encodeTail()
 	if keyed {
-		m.store(e, k0, k1, before, m.ex-ex0, m.cwp-cwp0)
+		m.store(k0, k1, before, m.ex-ex0, m.cwp-cwp0)
 	}
 }
 
 // verify checks the descriptors of words [w, w+len(insts)) against the
-// instructions that just retired there, describing new words. A word that
-// changed since it was described invalidates every memo entry, since any
-// of them may have priced it. Within one code generation a word cannot
-// change, so each leader is checked once per generation. Bypass checks
-// every run, which keeps the reference pricing independent of the rule.
+// instructions that just retired there, describing new words, and records
+// the check at leader w for the current epoch. A word that changed since
+// it was described invalidates every memo entry, since any of them may
+// have priced it. retire skips runs whose leader was already checked this
+// epoch; bypass checks every run, which keeps the reference pricing
+// independent of that rule.
 func (m *Machine) verify(w int, insts []isa.Inst) {
 	e := &m.desc[w]
-	if e.vepoch == m.epoch && int(e.vlen) >= len(insts) && !m.bypass {
-		return
-	}
 	for i := range insts {
 		d := &m.desc[w+i]
 		if d.inst == insts[i] {
@@ -182,13 +267,14 @@ func (m *Machine) verify(w int, insts []isa.Inst) {
 	}
 }
 
-// runKey packs the run's shape and the untailed scoreboard state into the
-// k0 half of a memo key, or reports that they do not fit.
-func runKey(n int, taken bool, ovf, unf, pending uint64, slotPending, slotTaken bool) (uint64, bool) {
-	if n > 0xFF || ovf > 0xF || unf > 0xF || pending > 0xFFFFFFFF {
+// runKey packs the run's leader word, its shape and the untailed
+// scoreboard state into the k0 half of a memo key, or reports that they do
+// not fit.
+func runKey(w, n int, taken bool, ovf, unf, pending uint64, slotPending, slotTaken bool) (uint64, bool) {
+	if w >= 1<<28 || n > 0xFF || ovf > 0xF || unf > 0xF || pending > 0xFFFF {
 		return 0, false
 	}
-	k := uint64(n) | ovf<<8 | unf<<12 | pending<<20
+	k := uint64(n) | ovf<<8 | unf<<12 | pending<<20 | uint64(w)<<36
 	if taken {
 		k |= 1 << 16
 	}
@@ -285,25 +371,11 @@ func (m *Machine) materialize() {
 	}
 }
 
-// apply adds a memo entry's priced effect for a run of n instructions.
-func (m *Machine) apply(me *memoEntry, n int) {
-	r := &m.res
-	r.Instructions += uint64(n)
-	r.LoadUseStallCycles += uint64(me.loadUse)
-	r.WindowStallCycles += uint64(me.window)
-	r.FlushBubbleCycles += uint64(me.flush)
-	r.MemPortStallCycles += uint64(me.memPort)
-	r.ForwardsEXMEM += uint64(me.fwdEXMEM)
-	r.ForwardsMEMWB += uint64(me.fwdMEMWB)
-	r.DelaySlots += uint64(me.slots)
-	r.DelaySlotsFilled += uint64(me.filled)
+// apply moves the machine past a run priced from memo entry me and counts
+// the hit; the entry's counter deltas reach res through addHits.
+func (m *Machine) apply(me *memoEntry) {
+	me.hits++
 	b := me.bits
-	if b&meTransfer != 0 {
-		r.Transfers++
-		if b&meTaken != 0 {
-			r.TakenTransfers++
-		}
-	}
 	m.ex += uint64(me.dEx)
 	m.pending = uint64(me.pending)
 	m.slotPending, m.slotTaken = b&meSlotPending != 0, b&meSlotTaken != 0
@@ -317,9 +389,9 @@ func (m *Machine) apply(me *memoEntry, n int) {
 	m.stale = true
 }
 
-// store records the run just priced exactly under leader entry e, unless a
+// store records the run just priced exactly as a memo entry, unless a
 // delta overflows its field.
-func (m *Machine) store(e *descEntry, k0, k1 uint64, before Result, dEx uint64, dCwp int) {
+func (m *Machine) store(k0, k1 uint64, before Result, dEx uint64, dCwp int) {
 	r := &m.res
 	d16 := [...]uint64{dEx, r.LoadUseStallCycles - before.LoadUseStallCycles,
 		r.MemPortStallCycles - before.MemPortStallCycles,
@@ -362,13 +434,20 @@ func (m *Machine) store(e *descEntry, k0, k1 uint64, before Result, dEx uint64, 
 	if len(m.memo) == memoCap {
 		m.flushMemo()
 	}
+	if 2*(len(m.memo)+1) > len(m.index) {
+		// Keep the index at most half full: double it and reinsert.
+		m.sizeIndex(2 * len(m.index))
+		for j := range m.memo {
+			m.insert(j)
+		}
+	}
 	m.memo = append(m.memo, memoEntry{
-		k0: k0, k1: k1, tail: m.tailKey, next: e.head,
+		k0: k0, k1: k1, tail: m.tailKey,
 		pending: uint32(m.pending),
 		dEx:     uint16(d16[0]), loadUse: uint16(d16[1]), memPort: uint16(d16[2]),
 		window: uint16(d16[3]), fwdEXMEM: uint16(d16[4]), fwdMEMWB: uint16(d16[5]),
 		flush: uint8(d8[0]), slots: uint8(d8[1]), filled: uint8(d8[2]),
 		bits: bits,
 	})
-	e.head = int32(len(m.memo))
+	m.insert(len(m.memo) - 1)
 }

@@ -220,13 +220,10 @@ const (
 )
 
 // descEntry is the per-code-word state: the descriptor of the instruction
-// last seen at the word, and the memo of block runs leading there.
+// last seen at the word.
 type descEntry struct {
 	inst isa.Inst
 	d    tdesc
-	// head is the index+1 in Machine.memo of the newest memo entry for
-	// runs leading at this word; 0 when there is none.
-	head int32
 	// Words [w, w+vlen) were last checked against a retired run in epoch
 	// vepoch; see Machine.verify.
 	vepoch uint32
@@ -384,6 +381,7 @@ func (m *Machine) Step() error { return m.cpu.Step() }
 // that actually retired.
 func (m *Machine) Result() Result {
 	r := m.res
+	m.addHits(&r)
 	if r.Instructions > 0 {
 		// The last instruction still has MEM and WB to drain.
 		r.Cycles = m.ex + 2
