@@ -11,6 +11,7 @@ import (
 
 	"risc1/internal/machine"
 	"risc1/internal/prog"
+	"risc1/internal/timing"
 )
 
 // checkGolden compares got with the golden file at path. A missing golden is
@@ -131,8 +132,9 @@ func TestRunInfoPinned(t *testing.T) {
 // machine: the instruction mix and its categories each add up to
 // Instructions, the call-depth histogram adds up to Calls (on the RISC I
 // machines; CX keeps no histogram), trace-tier retirements are a subset of
-// Instructions, and the SMP cores' retirements and data traffic add up to
-// the run's.
+// Instructions, the SMP cores' retirements and data traffic add up to the
+// run's, and a single-core windowed run's cycles add up from its mix and
+// window traps (checkCycles).
 func checkAccounting(t *testing.T, run string, target Target, r *machine.Result) {
 	t.Helper()
 	s := r.Stats
@@ -157,6 +159,9 @@ func checkAccounting(t *testing.T, run string, target Target, r *machine.Result)
 		t.Errorf("%s: Trace.Instructions = %d > Instructions = %d",
 			run, r.Trace.Instructions, s.Instructions)
 	}
+	if target == RISCWindowed && r.SMP == nil {
+		checkCycles(t, run, r)
+	}
 	if r.SMP != nil {
 		var instructions, reads, writes uint64
 		for _, cs := range r.SMP.PerCore {
@@ -168,6 +173,41 @@ func checkAccounting(t *testing.T, run string, target Target, r *machine.Result)
 			t.Errorf("%s: Σ PerCore instructions, reads, writes = %d, %d, %d; Stats %d, %d, %d",
 				run, instructions, reads, writes, s.Instructions, s.DataReads, s.DataWrites)
 		}
+	}
+}
+
+// categoryCycles is the fixed cost internal/timing sets for each
+// instruction category.
+var categoryCycles = map[string]uint64{
+	"alu":     timing.RiscALUCycles,
+	"load":    timing.RiscLoadCycles,
+	"store":   timing.RiscStoreCycles,
+	"control": timing.RiscTransferCycles,
+	"misc":    timing.RiscMiscCycles,
+}
+
+// checkCycles checks the cycle identity of a single-core windowed run,
+// exactly: Cycles is the fixed cost of every instruction by category, plus
+// the spill and fill trap costs per window overflow and underflow, plus 16
+// stores per extra window a trap spills under SpillBatch > 1. RunOptions
+// leaves SpillBatch at 1, so every trap spills one window and that last
+// term is zero here.
+func checkCycles(t *testing.T, run string, r *machine.Result) {
+	t.Helper()
+	s := r.Stats
+	var fixed uint64
+	for cat, n := range s.ByCategory {
+		cost, ok := categoryCycles[cat]
+		if !ok {
+			t.Errorf("%s: category %q has no cycle cost", run, cat)
+		}
+		fixed += n * cost
+	}
+	traps := s.WindowOverflow*timing.RiscSpillCycles + s.WindowUnderflow*timing.RiscFillCycles
+	const batchExtras = 0
+	if want := fixed + traps + batchExtras; r.Cycles != want || s.Cycles != want {
+		t.Errorf("%s: Cycles = %d (stats %d), want %d = %d by category + %d in %d spill and %d fill traps",
+			run, r.Cycles, s.Cycles, want, fixed, traps, s.WindowOverflow, s.WindowUnderflow)
 	}
 }
 
