@@ -11,6 +11,7 @@
 //	riscbench -profile -      # dump the reference loop's heat profile as JSON
 //	riscbench -timeout 30s    # abort any single configuration after 30s
 //	riscbench -inject hanoi   # fault-inject one benchmark (degradation demo)
+//	riscbench -cpuprofile cpu.pprof  # host CPU profile of the runs, for go tool pprof
 //
 // All experiments share one Lab, so benchmark configurations used by several
 // tables are simulated only once, concurrently. A configuration that fails or
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -189,6 +191,7 @@ func main() {
 	inject := flag.String("inject", "", "benchmark name to run under an injected memory fault")
 	engineFlag := flag.String("engine", "auto", "RISC execution engine for all runs: auto, block, step or trace")
 	profileOut := flag.String("profile", "", "write the reference loop's execution-heat profile as JSON to this file (- for stdout)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of riscbench to this file")
 	flag.Parse()
 
 	engine, err := risc1.ParseEngine(*engineFlag)
@@ -232,13 +235,19 @@ func main() {
 		}
 		lab.InjectFault(*inject, &mem.FaultPlan{FailNthWrite: 1})
 	}
+	if *cpuProfile != "" {
+		if err := startCPUProfile(*cpuProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "riscbench: %v\n", err)
+			exit(1)
+		}
+	}
 	var timings []experimentTiming
 	for _, id := range ids {
 		start := time.Now()
 		out, err := exp.Render(lab, id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "riscbench: %s: %v\n", id, err)
-			os.Exit(1)
+			exit(1)
 		}
 		elapsed := time.Since(start)
 		timings = append(timings, experimentTiming{ID: id, Seconds: elapsed.Seconds()})
@@ -250,13 +259,13 @@ func main() {
 	if *profileOut != "" {
 		if err := writeBenchProfile(*profileOut, engine); err != nil {
 			fmt.Fprintf(os.Stderr, "riscbench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	if *jsonOut {
 		if err := writeReport(lab, engine, timings, failures); err != nil {
 			fmt.Fprintf(os.Stderr, "riscbench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("[wrote %s]\n", benchFile)
 	}
@@ -265,8 +274,38 @@ func main() {
 		for _, f := range failures {
 			fmt.Fprintf(os.Stderr, "  %s [%s]: %v\n", f.Bench, f.Target, f.Err)
 		}
-		os.Exit(1)
+		exit(1)
 	}
+	stopCPUProfile()
+}
+
+// exit flushes the -cpuprofile file, if one is being written, and exits.
+func exit(code int) {
+	stopCPUProfile()
+	os.Exit(code)
+}
+
+// stopCPUProfile flushes the -cpuprofile file, if one is being written.
+var stopCPUProfile = func() {}
+
+// startCPUProfile starts writing a CPU profile to path.
+func startCPUProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	stopCPUProfile = func() {
+		stopCPUProfile = func() {}
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "riscbench:", err)
+		}
+	}
+	return nil
 }
 
 // measureThroughput runs the reference loop once under the given engine,

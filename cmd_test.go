@@ -80,6 +80,33 @@ func TestRiscbenchInjectDegrades(t *testing.T) {
 	}
 }
 
+// TestRiscbenchCPUProfile checks that -cpuprofile writes a pprof profile
+// (gzip-compressed) of a clean run and of one that exits nonzero.
+func TestRiscbenchCPUProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests compile the tools")
+	}
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "cpu.pprof")
+	if out := runTool(t, "./cmd/riscbench", "-exp", "E11", "-cpuprofile", prof); !strings.Contains(out, "E11") {
+		t.Fatalf("riscbench -cpuprofile printed %q", out)
+	}
+	checkProfile := func() {
+		t.Helper()
+		if b, err := os.ReadFile(prof); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Fatalf("riscbench -cpuprofile wrote %d bytes (%v), want a gzip-compressed profile", len(b), err)
+		}
+	}
+	checkProfile()
+	if err := os.Remove(prof); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, code := runToolErr(t, "./cmd/riscbench", "-exp", "E4", "-inject", "hanoi", "-cpuprofile", prof); code == 0 {
+		t.Fatal("riscbench with an injected fault exited 0")
+	}
+	checkProfile()
+}
+
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke tests compile the tools")
