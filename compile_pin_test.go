@@ -311,3 +311,32 @@ func randomLayoutProgram(r *rand.Rand) string {
 	b.WriteString("\tputint(t);\n\treturn 0;\n}\n")
 	return b.String()
 }
+
+// TestLintFindingsPinned pins every finding LintImage reports for the
+// sixteen kernels on all four targets and for the far-data program, with
+// and without the SMP passes forced on: severity, pass, PC, disassembly,
+// source line and message. Analyzer changes that claim to leave the
+// findings alone must leave testdata/lint.golden alone; delete it to
+// regenerate it after a deliberate change.
+func TestLintFindingsPinned(t *testing.T) {
+	var b strings.Builder
+	progs := pinKernels()
+	progs = append(progs, prog.Benchmark{Name: "bigGlobals", Source: pinBigGlobals})
+	for _, p := range progs {
+		for _, target := range pinTargets {
+			img, err := CompileToImage(p.Source, target)
+			if err != nil {
+				fmt.Fprintf(&b, "%s %v error: %v\n", p.Name, target, err)
+				continue
+			}
+			for _, smp := range []bool{false, true} {
+				diags := LintImage(img, LintOptions{SMP: smp})
+				fmt.Fprintf(&b, "%s %v smp=%v: %d findings\n", p.Name, target, smp, len(diags))
+				for _, d := range diags {
+					fmt.Fprintf(&b, "\t%s\n", d)
+				}
+			}
+		}
+	}
+	checkGolden(t, "testdata/lint.golden", b.String())
+}
