@@ -102,12 +102,14 @@ type Edge struct {
 	Callee bool // call-entry edge: crosses into another function
 }
 
-// Edges enumerates a node's static successors. Nodes past either end and
-// undecodable words have none.
-func (p *Program) Edges(node int) []Edge {
+// Edges appends a node's static successors to dst and returns the result;
+// a node has at most two. Nodes past either end and undecodable words have
+// none. Callers pass a reused buffer (dst[:0]) so the walks allocate
+// nothing per node.
+func (p *Program) Edges(dst []Edge, node int) []Edge {
 	idx, slot := node/2, node%2 == 1
 	if idx >= len(p.Insts) || !p.OK[idx] {
-		return nil
+		return dst
 	}
 	in := p.Insts[idx]
 	if !slot {
@@ -119,38 +121,37 @@ func (p *Program) Edges(node int) []Edge {
 			case in.IsReturn():
 				delta = -1
 			}
-			return []Edge{{To: 2*(idx+1) + 1, Delta: delta}}
+			return append(dst, Edge{To: 2*(idx+1) + 1, Delta: delta})
 		}
 		delta := 0
 		if in.Op == isa.OpCALLINT {
 			delta = 1
 		}
-		return []Edge{{To: 2 * (idx + 1), Delta: delta}}
+		return append(dst, Edge{To: 2 * (idx + 1), Delta: delta})
 	}
 
 	// Slot of the transfer at idx-1: control now moves where the transfer
 	// decided. The depth at this node already reflects the window shift.
 	t := p.Insts[idx-1]
-	var out []Edge
 	switch {
 	case t.Op == isa.OpJMP || t.Op == isa.OpJMPR:
 		if tidx, known := p.StaticTarget(idx-1, t); known && t.Cond() != isa.CondNEV {
-			out = append(out, Edge{To: 2 * tidx})
+			dst = append(dst, Edge{To: 2 * tidx})
 		}
 		if t.Cond() != isa.CondALW { // conditional (or never-taken): may fall through
-			out = append(out, Edge{To: 2 * (idx + 1)})
+			dst = append(dst, Edge{To: 2 * (idx + 1)})
 		}
 	case t.IsCall():
 		if tidx, known := p.StaticTarget(idx-1, t); known {
-			out = append(out, Edge{To: 2 * tidx, Callee: true})
+			dst = append(dst, Edge{To: 2 * tidx, Callee: true})
 		}
 		// Assume the callee returns: back to the word after the slot, in
 		// the caller's window.
-		out = append(out, Edge{To: 2 * (idx + 1), Delta: -1, Ret: true})
+		dst = append(dst, Edge{To: 2 * (idx + 1), Delta: -1, Ret: true})
 	case t.IsReturn():
 		// Dynamic destination; no static successors.
 	}
-	return out
+	return dst
 }
 
 // Reach is the result of Walk: per-node reachability and minimum known
@@ -173,43 +174,45 @@ func (p *Program) Walk(entry int, roots []int) Reach {
 	for i := range r.MinDepth {
 		r.MinDepth[i] = DepthUnknown
 	}
-	var wl []int
-	push := func(node, d int) {
-		if node < 0 || node >= 2*n {
-			return
-		}
-		changed := !r.Reach[node]
-		r.Reach[node] = true
-		if d != DepthUnknown && d < r.MinDepth[node] {
-			r.MinDepth[node] = d
-			changed = true
-		}
-		if changed {
-			wl = append(wl, node)
-		}
-	}
+	wl := make([]int, 0, 64)
 	if entry >= 0 {
-		push(2*entry, 0)
+		wl = r.push(wl, 2*entry, 0)
 	}
 	for _, idx := range roots {
-		push(2*idx, DepthUnknown)
+		wl = r.push(wl, 2*idx, DepthUnknown)
 	}
+	var buf [2]Edge
 	for len(wl) > 0 {
 		node := wl[len(wl)-1]
 		wl = wl[:len(wl)-1]
 		d := r.MinDepth[node]
-		for _, e := range p.Edges(node) {
+		for _, e := range p.Edges(buf[:0], node) {
 			nd := DepthUnknown
 			if d != DepthUnknown {
-				nd = d + e.Delta
-				if nd < 0 {
-					nd = 0
-				}
+				nd = max(d+e.Delta, 0)
 			}
-			push(e.To, nd)
+			wl = r.push(wl, e.To, nd)
 		}
 	}
 	return r
+}
+
+// push marks node reached at depth d and appends it to the worklist wl
+// when that is news: first reach, or a lower known depth.
+func (r *Reach) push(wl []int, node, d int) []int {
+	if node < 0 || node >= len(r.Reach) {
+		return wl
+	}
+	changed := !r.Reach[node]
+	r.Reach[node] = true
+	if d != DepthUnknown && d < r.MinDepth[node] {
+		r.MinDepth[node] = d
+		changed = true
+	}
+	if changed {
+		wl = append(wl, node)
+	}
+	return wl
 }
 
 // Span is a straight-line execution block: Body sequential non-transfer

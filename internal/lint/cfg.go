@@ -133,9 +133,6 @@ func (p *program) staticTarget(idx int, in isa.Inst) (int, bool) {
 	return p.g.StaticTarget(idx, in)
 }
 
-// edges enumerates a node's static successors.
-func (p *program) edges(node int) []cfgEdge { return p.g.Edges(node) }
-
 // walk computes reachability and minimum call depth over the node graph.
 // Roots: the entry at depth 0, plus — when the image marks its code/data
 // split — every labeled code word at unknown depth (interrupt handlers and

@@ -406,6 +406,7 @@ func (c *concurrency) lockDataflow() {
 			}
 		}
 	}
+	var eb [2]cfgEdge
 	for len(wl) > 0 {
 		node := wl[len(wl)-1]
 		wl = wl[:len(wl)-1]
@@ -413,7 +414,7 @@ func (c *concurrency) lockDataflow() {
 		if op, ok := c.effect[node]; ok {
 			mustOut, mayOut = applyLock(op, mustOut, mayOut)
 		}
-		for _, e := range p.edges(node) {
+		for _, e := range p.g.Edges(eb[:0], node) {
 			if e.Callee && c.rtSkip[e.To/2] {
 				continue // runtime body: modeled on the return edge
 			}
@@ -714,6 +715,7 @@ func (c *concurrency) inLoop(op smpOp) bool {
 	}
 	visited := make([]bool, 2*p.n)
 	stack := []int{start, start + 1}
+	var eb [2]cfgEdge
 	for len(stack) > 0 {
 		node := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -724,7 +726,7 @@ func (c *concurrency) inLoop(op smpOp) bool {
 		if node/2 == op.idx {
 			return true
 		}
-		for _, e := range p.edges(node) {
+		for _, e := range p.g.Edges(eb[:0], node) {
 			stack = append(stack, e.To)
 		}
 	}

@@ -61,6 +61,7 @@ func (p *program) checkUseBeforeDef() {
 			seed(2*idx, ^uint32(0))
 		}
 	}
+	var eb [2]cfgEdge
 	for len(wl) > 0 {
 		node := wl[len(wl)-1]
 		wl = wl[:len(wl)-1]
@@ -68,7 +69,7 @@ func (p *program) checkUseBeforeDef() {
 		if d, ok := p.insts[node/2].DestReg(); ok {
 			out |= 1 << d
 		}
-		for _, e := range p.edges(node) {
+		for _, e := range p.g.Edges(eb[:0], node) {
 			v := out
 			if e.Ret {
 				v |= retClobber
