@@ -8,7 +8,8 @@ import (
 // Software multiply/divide for RISC I, which (like the real chip) has no
 // multiply or divide instructions: the compiler calls these routines, just
 // as the Berkeley C compiler did. Each is generated for the active calling
-// convention.
+// convention; the text depends on nothing else, so each convention's
+// routines are expanded once (runtimes) rather than on every compile.
 //
 // The windowed variant keeps its state in LOCAL registers (private to the
 // window). The flat variant must limit itself to the caller-saved scratch
@@ -22,8 +23,8 @@ type rtRegs struct {
 	link           string
 }
 
-func (g *riscGen) rtRegs() rtRegs {
-	if g.windowed {
+func rtRegsFor(windowed bool) rtRegs {
+	if windowed {
 		return rtRegs{a: "r26", b: "r27", ret: "r26",
 			t1: "r16", t2: "r17", t3: "r18", t4: "r19", t5: "r20", t6: "r21",
 			link: "r25"}
@@ -33,10 +34,31 @@ func (g *riscGen) rtRegs() rtRegs {
 		link: "r25"}
 }
 
+// runtimeText is the expanded text of every runtime routine for one calling
+// convention.
+type runtimeText struct {
+	mul, div, mod, spawn, join, lock, unlock string
+}
+
+// runtimes holds the routines for the flat (index 0) and the windowed
+// (index 1) convention.
+var runtimes = [2]runtimeText{newRuntimeText(rtRegsFor(false)), newRuntimeText(rtRegsFor(true))}
+
+func newRuntimeText(r rtRegs) runtimeText {
+	return runtimeText{
+		mul:    runtimeMul(r),
+		div:    runtimeDivMod(r, "__divsi", true),
+		mod:    runtimeDivMod(r, "__modsi", false),
+		spawn:  runtimeSpawn(r),
+		join:   runtimeJoin(r),
+		lock:   runtimeLock(r),
+		unlock: runtimeUnlock(r),
+	}
+}
+
 // runtimeMul emits __mulsi: shift-and-add, 32 iterations worst case.
 // Works for signed operands because the product is taken mod 2^32.
-func (g *riscGen) runtimeMul() string {
-	r := g.rtRegs()
+func runtimeMul(r rtRegs) string {
 	return expandRT(`
 ; ---- runtime: signed multiply ----
 __mulsi:
@@ -66,8 +88,7 @@ __mulsi:
 
 // runtimeDivMod emits __divsi or __modsi: sign-aware restoring division,
 // truncating toward zero like C (and like CX's DIVL microcode).
-func (g *riscGen) runtimeDivMod(name string, isDiv bool) string {
-	r := g.rtRegs()
+func runtimeDivMod(r rtRegs, name string, isDiv bool) string {
 	sign, res := "{t5}", "{t1}" // quotient sign, quotient
 	if !isDiv {
 		sign, res = "{t6}", "{t2}" // remainder sign, remainder

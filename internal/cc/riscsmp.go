@@ -17,8 +17,7 @@ package cc
 // address fires the scheduler's spawn; a handle of -1 (no free core, or no
 // SMP controller at all) falls back to calling fn inline on this core, so
 // parallel programs degrade to correct sequential ones anywhere.
-func (g *riscGen) runtimeSpawn() string {
-	r := g.rtRegs()
+func runtimeSpawn(r rtRegs) string {
 	return expandRT(`
 ; ---- runtime: spawn a worker core ----
 __spawn:
@@ -42,8 +41,7 @@ __spawn:
 // runtimeJoin emits __join(handle): spin until the worker halts. The join
 // page reads 0 for a halted worker, an out-of-range handle, or no
 // controller, so joining an inline-call handle (-1) returns immediately.
-func (g *riscGen) runtimeJoin() string {
-	r := g.rtRegs()
+func runtimeJoin(r rtRegs) string {
 	return expandRT(`
 ; ---- runtime: join a worker core ----
 __join:
@@ -64,8 +62,7 @@ __join:
 
 // runtimeLock emits __lock(n): spin on test-and-set word n. The load
 // returns the word's previous value and sets it; 0 means we took it.
-func (g *riscGen) runtimeLock() string {
-	r := g.rtRegs()
+func runtimeLock(r rtRegs) string {
 	return expandRT(`
 ; ---- runtime: take spinlock n ----
 __lock:
@@ -81,8 +78,7 @@ __lock:
 }
 
 // runtimeUnlock emits __unlock(n): release test-and-set word n.
-func (g *riscGen) runtimeUnlock() string {
-	r := g.rtRegs()
+func runtimeUnlock(r rtRegs) string {
 	return expandRT(`
 ; ---- runtime: release spinlock n ----
 __unlock:
