@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -14,12 +15,12 @@ import (
 func (g *ciscGen) genOperand(e Expr) (string, tref, error) {
 	switch x := e.(type) {
 	case *IntLit:
-		return fmt.Sprintf("#%d", int32(x.Val)), -1, nil
+		return immText(int64(int32(x.Val))), -1, nil
 	case *VarRef:
 		v := x.Decl
 		if v.Type.Kind == TypeInt || v.Type.Kind == TypePtr {
 			if r, ok := g.localReg[v]; ok {
-				return fmt.Sprintf("r%d", r), -1, nil
+				return regNames[r], -1, nil
 			}
 			if off, ok := g.localOff[v]; ok {
 				return scalarSpec(off), -1, nil
@@ -113,12 +114,12 @@ func (g *ciscGen) genExpr(e Expr) (tref, error) {
 // stored char since stores truncate).
 func (g *ciscGen) charVarSpec(v *VarDecl) string {
 	if r, ok := g.localReg[v]; ok {
-		return fmt.Sprintf("r%d", r)
+		return regNames[r]
 	}
 	if off, ok := g.localOff[v]; ok {
 		// chars in the frame occupy the low byte of their word: the
 		// word address is the big-endian MSB, so the byte sits at +3.
-		return fmt.Sprintf("-%d(fp)", off+1)
+		return specf("-%d(fp)", off+1)
 	}
 	return "@" + globalLabel(v)
 }
@@ -154,9 +155,9 @@ func (g *ciscGen) genMem(lv Expr) (string, []tref, error) {
 		if lit, ok := x.Idx.(*IntLit); ok {
 			off := lit.Val * int64(size)
 			if off == 0 {
-				return fmt.Sprintf("(r%d)", g.reg(base)), []tref{base}, nil
+				return specf("(r%d)", g.reg(base)), []tref{base}, nil
 			}
-			return fmt.Sprintf("%d(r%d)", off, g.reg(base)), []tref{base}, nil
+			return specf("%d(r%d)", off, g.reg(base)), []tref{base}, nil
 		}
 		// Register index: use scaled indexed addressing.
 		rb := g.reg(base)
@@ -177,7 +178,7 @@ func (g *ciscGen) genMem(lv Expr) (string, []tref, error) {
 			if err != nil {
 				return "", nil, err
 			}
-			return fmt.Sprintf("(r%d)", g.reg(t)), []tref{t}, nil
+			return specf("(r%d)", g.reg(t)), []tref{t}, nil
 		}
 	}
 	return "", nil, errorAt(0, "cisc: not a memory lvalue: %T", lv)
@@ -185,9 +186,9 @@ func (g *ciscGen) genMem(lv Expr) (string, []tref, error) {
 
 func indexedSpec(base, idx, size int) string {
 	if size == 1 {
-		return fmt.Sprintf("(r%d)[r%d.b]", base, idx)
+		return specf("(r%d)[r%d.b]", base, idx)
 	}
-	return fmt.Sprintf("(r%d)[r%d]", base, idx)
+	return specf("(r%d)[r%d]", base, idx)
 }
 
 func (g *ciscGen) genStoreVal(lv, rhs Expr, wantValue bool) (tref, error) {
@@ -196,7 +197,7 @@ func (g *ciscGen) genStoreVal(lv, rhs Expr, wantValue bool) (tref, error) {
 		v := x.Decl
 		dst := ""
 		if r, ok := g.localReg[v]; ok {
-			dst = fmt.Sprintf("r%d", r)
+			dst = regNames[r]
 		} else if off, ok := g.localOff[v]; ok {
 			dst = scalarSpec(off)
 		} else if v.IsGlobal && v.Type.IsScalar() {
@@ -273,9 +274,8 @@ func byteOf(spec string) string {
 	}
 	// -N(fp) slot word: its low byte lives at -N+3.
 	if strings.HasSuffix(spec, "(fp)") && strings.HasPrefix(spec, "-") {
-		var n int
-		fmt.Sscanf(spec, "-%d(fp)", &n)
-		return fmt.Sprintf("-%d(fp)", n-3)
+		n, _ := strconv.Atoi(spec[1 : len(spec)-len("(fp)")])
+		return specf("-%d(fp)", n-3)
 	}
 	return spec
 }
@@ -583,7 +583,7 @@ func (g *ciscGen) genIncDec(x *IncDec) (tref, error) {
 	if lv, ok := x.X.(*VarRef); ok {
 		dst := ""
 		if r, ok := g.localReg[lv.Decl]; ok {
-			dst = fmt.Sprintf("r%d", r)
+			dst = regNames[r]
 		} else if off, ok := g.localOff[lv.Decl]; ok {
 			dst = scalarSpec(off)
 		} else if lv.Decl.IsGlobal && lv.Decl.Type.IsScalar() {
@@ -718,7 +718,7 @@ func (g *ciscGen) emitInit(v *VarDecl) {
 		}
 		vals := make([]string, len(v.InitInts))
 		for i, n := range v.InitInts {
-			vals[i] = fmt.Sprintf("%d", int32(n))
+			vals[i] = strconv.Itoa(int(int32(n)))
 		}
 		fmt.Fprintf(&g.out, "\t.word %s\n", strings.Join(vals, ", "))
 		if v.Type.Kind == TypeArray {

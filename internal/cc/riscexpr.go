@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"risc1/internal/isa"
@@ -19,7 +20,7 @@ func (g *riscGen) genExpr(e Expr) (tref, error) {
 
 	case *StrLit:
 		t := g.pushTemp()
-		g.emitSymAddr(fmt.Sprintf(".Lstr%d", x.Index), g.reg(t))
+		g.emitSymAddr(strLabel(x.Index), g.reg(t))
 		return t, nil
 
 	case *VarRef:
@@ -141,7 +142,7 @@ func (g *riscGen) genAddrOf(e Expr) (tref, int, error) {
 
 	case *StrLit:
 		t := g.pushTemp()
-		g.emitSymAddr(fmt.Sprintf(".Lstr%d", x.Index), g.reg(t))
+		g.emitSymAddr(strLabel(x.Index), g.reg(t))
 		return t, 1, nil
 
 	case *Unary:
@@ -359,7 +360,7 @@ func (g *riscGen) genBinary(b *Binary) (tref, error) {
 			v *= int64(b.Scale)
 		}
 		if v >= isa.MinImm13 && v <= isa.MaxImm13 {
-			s2 = fmt2("#%d", v)
+			s2 = immText(v)
 		}
 	}
 	if s2 == "" {
@@ -371,7 +372,7 @@ func (g *riscGen) genBinary(b *Binary) (tref, error) {
 			}
 			ry := g.reg(ty)
 			g.emit("sll r%d,#2,r%d", ry, ry)
-			s2 = fmt2("r%d", ry)
+			s2 = regNames[ry]
 		default:
 			s2, ty, err = g.genS2(b.Y)
 			if err != nil {
@@ -848,7 +849,7 @@ func (g *riscGen) emitInit(v *VarDecl) {
 		}
 		vals := make([]string, len(v.InitInts))
 		for i, n := range v.InitInts {
-			vals[i] = fmt2("%d", int32(n))
+			vals[i] = strconv.Itoa(int(int32(n)))
 		}
 		fmt.Fprintf(&g.out, "\t.word %s\n", strings.Join(vals, ", "))
 		if v.Type.Kind == TypeArray {

@@ -225,7 +225,7 @@ func (g *riscGen) genBranch(e Expr, label string, whenTrue bool) error {
 			if !whenTrue {
 				cond = cond.Negate()
 			}
-			g.emit("b%s %s", cond, label)
+			g.emit("b%s %s", cond.String(), label)
 			g.emit("nop")
 			return nil
 		}
@@ -334,16 +334,16 @@ func (g *riscGen) operandReg(e Expr) (uint8, tref, error) {
 func (g *riscGen) genS2(e Expr) (string, tref, error) {
 	if lit, ok := e.(*IntLit); ok &&
 		lit.Val >= isa.MinImm13 && lit.Val <= isa.MaxImm13 {
-		return fmt2("#%d", lit.Val), -1, nil
+		return immText(lit.Val), -1, nil
 	}
 	if v, ok := e.(*VarRef); ok {
 		if r, inReg := g.localReg[v.Decl]; inReg {
-			return fmt2("r%d", r), -1, nil
+			return regNames[r], -1, nil
 		}
 	}
 	t, err := g.genExpr(e)
 	if err != nil {
 		return "", -1, err
 	}
-	return fmt2("r%d", g.reg(t)), t, nil
+	return regNames[g.reg(t)], t, nil
 }
