@@ -9,7 +9,7 @@ import (
 
 // realInst builds a protoInst for one of the 31 hardware instructions.
 func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
-	p := &protoInst{op: op, scc: scc}
+	p := protoInst{op: op, scc: scc}
 	bad := func() {
 		a.errorf("%s: bad operands", op)
 	}
@@ -21,7 +21,7 @@ func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
 				if c, ok := condOf(ops[0]); ok {
 					p.cond, p.hasCond = c, true
 					p.rs1, p.s2, p.useS2 = ops[1].base, ops[1].index, true
-					a.add(item{inst: p})
+					a.addInst(p)
 					return
 				}
 			}
@@ -39,9 +39,9 @@ func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
 			return
 		}
 		p.cond, p.hasCond = c, true
-		p.imm19 = ops[1].imm
+		p.s2.imm = ops[1].imm
 		p.relative = !ops[1].imm.isNum() // labels are PC-relative; #n literal
-		a.add(item{inst: p})
+		a.addInst(p)
 		return
 	case isa.OpCALL: // call rd,(rx)s2
 		if len(ops) != 2 || !ops[0].isReg || !ops[1].isAddr {
@@ -50,7 +50,7 @@ func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
 		}
 		p.rd = ops[0].reg
 		p.rs1, p.s2, p.useS2 = ops[1].base, ops[1].index, true
-		a.add(item{inst: p})
+		a.addInst(p)
 		return
 	case isa.OpCALLR: // callr rd,target
 		if len(ops) != 2 || !ops[0].isReg || !ops[1].isImm {
@@ -58,9 +58,9 @@ func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
 			return
 		}
 		p.rd = ops[0].reg
-		p.imm19 = ops[1].imm
+		p.s2.imm = ops[1].imm
 		p.relative = !ops[1].imm.isNum()
-		a.add(item{inst: p})
+		a.addInst(p)
 		return
 	case isa.OpRET, isa.OpRETINT: // ret rd,s2
 		if len(ops) != 2 || !ops[0].isReg {
@@ -74,7 +74,7 @@ func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
 			return
 		}
 		p.s2, p.useS2 = s2, true
-		a.add(item{inst: p})
+		a.addInst(p)
 		return
 	case isa.OpCALLINT, isa.OpGTLPC, isa.OpGETPSW: // op rd
 		if len(ops) != 1 || !ops[0].isReg {
@@ -82,7 +82,7 @@ func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
 			return
 		}
 		p.rd = ops[0].reg
-		a.add(item{inst: p})
+		a.addInst(p)
 		return
 	case isa.OpPUTPSW: // putpsw rs1,s2
 		if len(ops) != 2 || !ops[0].isReg {
@@ -96,7 +96,7 @@ func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
 			return
 		}
 		p.s2, p.useS2 = s2, true
-		a.add(item{inst: p})
+		a.addInst(p)
 		return
 	case isa.OpLDHI: // ldhi rd,#imm19
 		if len(ops) != 2 || !ops[0].isReg || !ops[1].isImm {
@@ -104,8 +104,8 @@ func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
 			return
 		}
 		p.rd = ops[0].reg
-		p.imm19 = ops[1].imm
-		a.add(item{inst: p})
+		p.s2.imm = ops[1].imm
+		a.addInst(p)
 		return
 	default:
 		switch op.Cat() {
@@ -116,7 +116,7 @@ func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
 			}
 			p.rs1, p.s2, p.useS2 = ops[0].base, ops[0].index, true
 			p.rd = ops[1].reg
-			a.add(item{inst: p})
+			a.addInst(p)
 			return
 		case isa.CatStore: // stl rm,(rx)s2
 			if len(ops) != 2 || !ops[0].isReg || !ops[1].isAddr {
@@ -125,7 +125,7 @@ func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
 			}
 			p.rd = ops[0].reg
 			p.rs1, p.s2, p.useS2 = ops[1].base, ops[1].index, true
-			a.add(item{inst: p})
+			a.addInst(p)
 			return
 		case isa.CatALU: // add rs1,s2,rd
 			if len(ops) != 3 || !ops[0].isReg || !ops[2].isReg {
@@ -140,7 +140,7 @@ func (a *assembler) realInst(op isa.Op, scc bool, ops []operand) {
 			}
 			p.s2, p.useS2 = s2, true
 			p.rd = ops[2].reg
-			a.add(item{inst: p})
+			a.addInst(p)
 			return
 		}
 		bad()
@@ -176,15 +176,15 @@ func (a *assembler) pseudo(mnemonic string, scc bool, ops []operand) {
 			a.errorf("nop takes no operands")
 			return
 		}
-		a.add(item{inst: &protoInst{op: isa.OpADD, useS2: true}})
+		a.addInst(protoInst{op: isa.OpADD, useS2: true})
 		return
 	case "mov": // mov rs,rd -> add rs,r0? No: or rs,r0,rd keeps flags simple
 		if len(ops) != 2 || !ops[0].isReg || !ops[1].isReg {
 			a.errorf("mov needs two registers")
 			return
 		}
-		a.add(item{inst: &protoInst{op: isa.OpADD, scc: scc,
-			rs1: ops[0].reg, useS2: true, rd: ops[1].reg}})
+		a.addInst(protoInst{op: isa.OpADD, scc: scc,
+			rs1: ops[0].reg, useS2: true, rd: ops[1].reg})
 		return
 	case "cmp": // cmp rs1,s2 -> sub! rs1,s2,r0
 		if len(ops) != 2 || !ops[0].isReg {
@@ -196,8 +196,8 @@ func (a *assembler) pseudo(mnemonic string, scc bool, ops []operand) {
 			a.errorf("cmp: bad second operand")
 			return
 		}
-		a.add(item{inst: &protoInst{op: isa.OpSUB, scc: true,
-			rs1: ops[0].reg, s2: s2, useS2: true}})
+		a.addInst(protoInst{op: isa.OpSUB, scc: true,
+			rs1: ops[0].reg, s2: s2, useS2: true})
 		return
 	case "li", "la": // li #value,rd / la symbol,rd
 		if len(ops) != 2 || !ops[0].isImm || !ops[1].isReg {
@@ -206,14 +206,14 @@ func (a *assembler) pseudo(mnemonic string, scc bool, ops []operand) {
 		}
 		v, rd := ops[0].imm, ops[1].reg
 		if v.isNum() && v.off >= isa.MinImm13 && v.off <= isa.MaxImm13 {
-			a.add(item{inst: &protoInst{op: isa.OpADD, scc: scc,
-				s2: operand2{imm: v}, useS2: true, rd: rd}})
+			a.addInst(protoInst{op: isa.OpADD, scc: scc,
+				s2: operand2{imm: v}, useS2: true, rd: rd})
 			return
 		}
 		// Two-instruction form: ldhi rd,#hi ; add rd,#lo,rd.
-		a.add(item{inst: &protoInst{op: isa.OpLDHI, rd: rd, imm19: v, hiPart: true}})
-		a.add(item{inst: &protoInst{op: isa.OpADD, scc: scc, rs1: rd,
-			s2: operand2{imm: v}, useS2: true, rd: rd, loPart: true}})
+		a.addInst(protoInst{op: isa.OpLDHI, rd: rd, s2: operand2{imm: v}, hiPart: true})
+		a.addInst(protoInst{op: isa.OpADD, scc: scc, rs1: rd,
+			s2: operand2{imm: v}, useS2: true, rd: rd, loPart: true})
 		return
 	}
 	// b / b<cond> label: PC-relative conditional branches.
@@ -231,8 +231,8 @@ func (a *assembler) pseudo(mnemonic string, scc bool, ops []operand) {
 			a.errorf("%s needs a target", mnemonic)
 			return
 		}
-		a.add(item{inst: &protoInst{op: isa.OpJMPR, cond: cond, hasCond: true,
-			imm19: ops[0].imm, relative: !ops[0].imm.isNum()}})
+		a.addInst(protoInst{op: isa.OpJMPR, cond: cond, hasCond: true,
+			s2: operand2{imm: ops[0].imm}, relative: !ops[0].imm.isNum()})
 		return
 	}
 	a.errorf("unknown mnemonic %q", mnemonic)
@@ -291,7 +291,7 @@ func (a *assembler) directive(name, rest string) {
 			}
 			words = append(words, e)
 		}
-		a.add(item{words: words})
+		a.add(item{data: &itemData{words: words}})
 	case ".half", ".byte":
 		size := 2
 		if name == ".byte" {
@@ -312,7 +312,7 @@ func (a *assembler) directive(name, rest string) {
 				data = append(data, byte(v))
 			}
 		}
-		a.add(item{data: data})
+		a.add(item{data: &itemData{bytes: data}})
 	case ".ascii", ".asciz":
 		s, err := stringLit(strings.TrimSpace(rest))
 		if err != nil {
@@ -323,14 +323,14 @@ func (a *assembler) directive(name, rest string) {
 		if name == ".asciz" {
 			data = append(data, 0)
 		}
-		a.add(item{data: data})
+		a.add(item{data: &itemData{bytes: data}})
 	case ".space":
 		v, err := parseInt(rest)
 		if err != nil || v < 0 || v > 1<<24 {
 			a.errorf(".space: bad size %q", rest)
 			return
 		}
-		a.add(item{space: int(v)})
+		a.add(item{space: uint32(v)})
 	case ".align":
 		v, err := parseInt(rest)
 		if err != nil || v <= 0 || (v&(v-1)) != 0 {
@@ -339,7 +339,7 @@ func (a *assembler) directive(name, rest string) {
 		}
 		pad := (uint32(v) - a.pc%uint32(v)) % uint32(v)
 		if pad > 0 {
-			a.add(item{space: int(pad)})
+			a.add(item{space: pad})
 		}
 	default:
 		a.errorf("unknown directive %q", name)
