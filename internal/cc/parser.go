@@ -29,11 +29,37 @@ type parser struct {
 	fn        *FuncDecl
 	scopes    []map[string]*VarDecl
 	loopDepth int
+
+	// depth is how deeply the production being parsed nests (see enter).
+	depth int
+}
+
+// maxNesting bounds how deeply statements, expressions and pointer types
+// nest. The parser and both code generators recurse once per level, so the
+// bound keeps a hostile source (a request body of half a million
+// parentheses, say) from costing unbounded stack and time; real programs
+// nest a few dozen levels at most.
+const maxNesting = 1000
+
+// enter descends one nesting level, and fails past maxNesting; leave
+// climbs back.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return p.nestingError()
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
+
+func (p *parser) nestingError() error {
+	return p.errf("nesting deeper than %d levels", maxNesting)
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) line() int   { return p.cur().line }
+func (p *parser) line() int   { return int(p.cur().line) }
 
 func (p *parser) errf(format string, args ...any) error {
 	return &CompileError{Line: p.line(), Msg: fmt.Sprintf(format, args...)}
@@ -75,7 +101,10 @@ func (p *parser) program() (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		typ := p.pointers(base)
+		typ, err := p.pointers(base)
+		if err != nil {
+			return nil, err
+		}
 		if p.cur().kind != tokIdent {
 			return nil, p.errf("expected a name, found %s", p.cur())
 		}
@@ -148,11 +177,16 @@ func (p *parser) baseType() (*Type, error) {
 	return nil, p.errf("expected a type, found %s", p.cur())
 }
 
-func (p *parser) pointers(t *Type) *Type {
-	for p.accept("*") {
+// pointers applies the declaration's pointer stars to t; each one nests the
+// type a level deeper.
+func (p *parser) pointers(t *Type) (*Type, error) {
+	for n := p.depth; p.accept("*"); n++ {
+		if n >= maxNesting {
+			return nil, p.nestingError()
+		}
 		t = ptrTo(t)
 	}
-	return t
+	return t, nil
 }
 
 func (p *parser) paramList(fn *FuncDecl) error {
@@ -171,7 +205,10 @@ func (p *parser) paramList(fn *FuncDecl) error {
 		if err != nil {
 			return err
 		}
-		typ := p.pointers(base)
+		typ, err := p.pointers(base)
+		if err != nil {
+			return err
+		}
 		if typ.Kind == TypeVoid {
 			return p.errf("parameter cannot be void")
 		}
@@ -216,10 +253,11 @@ func (p *parser) skipBlock() error {
 	}
 	depth := 1
 	for depth > 0 {
+		if p.cur().kind == tokEOF {
+			return p.errf("unterminated function body")
+		}
 		t := p.next()
 		switch {
-		case t.kind == tokEOF:
-			return p.errf("unterminated function body")
 		case t.text == "{" && t.kind == tokPunct:
 			depth++
 		case t.text == "}" && t.kind == tokPunct:

@@ -4,7 +4,9 @@ package cc
 // declaration is also recorded in the function's Locals list for the back
 // ends to assign storage.
 
-func (p *parser) pushScope() { p.scopes = append(p.scopes, map[string]*VarDecl{}) }
+// pushScope opens a scope; its map is made by the first declaration in it,
+// as most blocks declare nothing.
+func (p *parser) pushScope() { p.scopes = append(p.scopes, nil) }
 func (p *parser) popScope()  { p.scopes = p.scopes[:len(p.scopes)-1] }
 
 func (p *parser) lookupVar(name string) *VarDecl {
@@ -20,6 +22,10 @@ func (p *parser) declare(v *VarDecl) error {
 	top := p.scopes[len(p.scopes)-1]
 	if _, dup := top[v.Name]; dup {
 		return p.errf("variable %q redeclared in this scope", v.Name)
+	}
+	if top == nil {
+		top = map[string]*VarDecl{}
+		p.scopes[len(p.scopes)-1] = top
 	}
 	top[v.Name] = v
 	v.Seq = len(p.fn.Locals)
@@ -52,6 +58,10 @@ func (p *parser) block() (*Block, error) {
 // statement parses one statement and stamps it with the source line it
 // began on, so the back ends can attribute the code they emit.
 func (p *parser) statement() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	line := p.line()
 	s, err := p.bareStatement()
 	if s != nil {
@@ -120,7 +130,10 @@ func (p *parser) localDecl() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	typ := p.pointers(base)
+	typ, err := p.pointers(base)
+	if err != nil {
+		return nil, err
+	}
 	if p.cur().kind != tokIdent {
 		return nil, p.errf("expected variable name")
 	}
