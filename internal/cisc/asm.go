@@ -49,17 +49,24 @@ type spec struct {
 	ext   expr  // displacement / immediate / absolute address
 }
 
+// item is anything that occupies space in the image: an instruction,
+// padding, or the content of a data directive.
 type item struct {
-	line   int
+	line   int32
 	addr   uint32
+	space  uint32 // .space and .align padding
 	op     Op
-	specs  []spec
-	disp   expr // branch target (opdDisp)
-	count  int64
 	isInst bool
-	data   []byte
-	words  []expr
-	space  int
+	count  uint8  // opdCount operand
+	specs  []spec // a window of casm.specs
+	disp   expr   // branch target (opdDisp)
+	data   *itemData
+}
+
+// itemData is the content of a data directive.
+type itemData struct {
+	bytes []byte // literal bytes (.byte/.ascii/.asciz/.mask)
+	words []expr // .word values, 4 bytes each
 }
 
 type casm struct {
@@ -72,6 +79,10 @@ type casm struct {
 	pc      uint32
 	errs    []error
 	line    int
+	// specs holds the operand specifiers of every instruction, in order;
+	// each item's specs is its window of it, so a statement allocates
+	// nothing of its own.
+	specs []spec
 	// partBuf backs each statement's operand fields, which do not outlive
 	// the statement.
 	partBuf [3]string
@@ -80,7 +91,9 @@ type casm struct {
 // Assemble builds a CX image from source.
 func Assemble(src string) (*Image, error) {
 	a := &casm{symbols: map[string]uint32{}, equs: map[string]int64{}}
-	a.items = make([]item, 0, strings.Count(src, "\n")+1) // at most one item a line
+	lines := strings.Count(src, "\n") + 1
+	a.items = make([]item, 0, lines) // at most one item a line
+	a.specs = make([]spec, 0, lines)
 	a.parse(src)
 	if len(a.errs) > 0 {
 		return nil, a.joined()
@@ -139,7 +152,7 @@ func (a *casm) parse(src string) {
 }
 
 func (a *casm) add(it item) {
-	it.line = a.line
+	it.line = int32(a.line)
 	it.addr = a.pc
 	a.pc += uint32(itemSize(&it))
 	a.items = append(a.items, it)
@@ -161,12 +174,10 @@ func itemSize(it *item) int {
 			}
 		}
 		return n
-	case it.words != nil:
-		return 4 * len(it.words)
 	case it.data != nil:
-		return len(it.data)
+		return 4*len(it.data.words) + len(it.data.bytes)
 	default:
-		return it.space
+		return int(it.space)
 	}
 }
 
@@ -203,6 +214,7 @@ func (a *casm) statement(line string) {
 		return
 	}
 	it := item{op: op, isInst: true}
+	first := len(a.specs)
 	for i, kind := range info.operands {
 		text := strings.TrimSpace(parts[i])
 		switch kind {
@@ -219,7 +231,7 @@ func (a *casm) statement(line string) {
 				a.errorf("%s: bad count %q", op, text)
 				return
 			}
-			it.count = e.off
+			it.count = uint8(e.off)
 		default:
 			s, err := a.parseSpec(text)
 			if err != nil {
@@ -231,9 +243,10 @@ func (a *casm) statement(line string) {
 				a.errorf("%s: immediate used as destination", op)
 				return
 			}
-			it.specs = append(it.specs, s)
+			a.specs = append(a.specs, s)
 		}
 	}
+	it.specs = a.specs[first:len(a.specs):len(a.specs)]
 	a.add(it)
 }
 

@@ -48,7 +48,7 @@ func (a *casm) directive(name, rest string) {
 			}
 			words = append(words, e)
 		}
-		a.add(item{words: words})
+		a.add(item{data: &itemData{words: words}})
 	case ".byte":
 		var data []byte
 		for _, p := range splitTop(nil, rest) {
@@ -59,7 +59,7 @@ func (a *casm) directive(name, rest string) {
 			}
 			data = append(data, byte(e.off))
 		}
-		a.add(item{data: data})
+		a.add(item{data: &itemData{bytes: data}})
 	case ".ascii", ".asciz":
 		s, err := stringLit(strings.TrimSpace(rest))
 		if err != nil {
@@ -70,14 +70,14 @@ func (a *casm) directive(name, rest string) {
 		if name == ".asciz" {
 			data = append(data, 0)
 		}
-		a.add(item{data: data})
+		a.add(item{data: &itemData{bytes: data}})
 	case ".space":
 		v, err := parseNum(rest)
 		if err != nil || v < 0 || v > 1<<24 {
 			a.errorf(".space: bad size %q", rest)
 			return
 		}
-		a.add(item{space: int(v)})
+		a.add(item{space: uint32(v)})
 	case ".align":
 		v, err := parseNum(rest)
 		if err != nil || v <= 0 || v&(v-1) != 0 {
@@ -85,7 +85,7 @@ func (a *casm) directive(name, rest string) {
 			return
 		}
 		if pad := (uint32(v) - a.pc%uint32(v)) % uint32(v); pad > 0 {
-			a.add(item{space: int(pad)})
+			a.add(item{space: pad})
 		}
 	case ".mask":
 		// Register-save mask at a procedure entry: 2 bytes, bit n set
@@ -101,7 +101,7 @@ func (a *casm) directive(name, rest string) {
 				mask |= 1 << r
 			}
 		}
-		a.add(item{data: []byte{byte(mask >> 8), byte(mask)}})
+		a.add(item{data: &itemData{bytes: []byte{byte(mask >> 8), byte(mask)}}})
 	default:
 		a.errorf("unknown directive %q", name)
 	}
@@ -154,23 +154,23 @@ func (a *casm) resolve(e expr, line int) (uint32, error) {
 
 func (a *casm) encode() (*Image, error) {
 	img := &Image{Org: a.org, Bytes: make([]byte, a.pc-a.org), Symbols: a.symbols}
-	for _, it := range a.items {
+	for i := range a.items {
+		it := &a.items[i]
 		buf := img.Bytes[it.addr-a.org:]
 		switch {
 		case it.isInst:
-			if err := a.encodeInst(&it, buf); err != nil {
+			if err := a.encodeInst(it, buf); err != nil {
 				return nil, err
 			}
-		case it.words != nil:
-			for i, e := range it.words {
-				v, err := a.resolve(e, it.line)
+		case it.data != nil:
+			for i, e := range it.data.words {
+				v, err := a.resolve(e, int(it.line))
 				if err != nil {
 					return nil, err
 				}
 				be32(buf[4*i:], v)
 			}
-		case it.data != nil:
-			copy(buf, it.data)
+			copy(buf, it.data.bytes)
 		}
 	}
 	img.Entry = a.org
@@ -196,7 +196,7 @@ func (a *casm) encodeInst(it *item, buf []byte) error {
 	for pos, kind := range info.operands {
 		switch kind {
 		case opdDisp:
-			target, err := a.resolve(it.disp, it.line)
+			target, err := a.resolve(it.disp, int(it.line))
 			if err != nil {
 				return err
 			}
@@ -205,7 +205,7 @@ func (a *casm) encodeInst(it *item, buf []byte) error {
 			next := it.addr + 3
 			delta := int64(int32(target)) - int64(int32(next))
 			if delta < -32768 || delta > 32767 {
-				return &AsmError{Line: it.line,
+				return &AsmError{Line: int(it.line),
 					Msg: fmt.Sprintf("branch target out of 16-bit range: %d", delta)}
 			}
 			buf[n] = byte(uint16(delta) >> 8)
@@ -224,14 +224,14 @@ func (a *casm) encodeInst(it *item, buf []byte) error {
 				buf[n] = s.index
 				n++
 			case modeDisp8, modeImm8:
-				v, err := a.resolve(s.ext, it.line)
+				v, err := a.resolve(s.ext, int(it.line))
 				if err != nil {
 					return err
 				}
 				buf[n] = byte(v)
 				n++
 			default: // disp32, imm32, abs
-				v, err := a.resolve(s.ext, it.line)
+				v, err := a.resolve(s.ext, int(it.line))
 				if err != nil {
 					return err
 				}
