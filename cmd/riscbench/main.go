@@ -8,7 +8,6 @@
 //	                             # cycle-accurate pipeline (shorthand for -exp E11)
 //	riscbench -json           # also write BENCH_risc1.json (machine-readable)
 //	riscbench -engine step    # force the single-step reference engine
-//	riscbench -profile -      # dump the reference loop's heat profile as JSON
 //	riscbench -timeout 30s    # abort any single configuration after 30s
 //	riscbench -inject hanoi   # fault-inject one benchmark (degradation demo)
 //	riscbench -cpuprofile cpu.pprof  # host CPU profile of the runs, for go tool pprof
@@ -37,41 +36,18 @@ import (
 )
 
 // benchFile is where -json writes its report; historyFile accumulates one
-// dated JSON line per -json run so throughput can be tracked over time.
+// dated JSON line per -json run so the headline figures can be tracked
+// over time.
 const (
 	benchFile   = "BENCH_risc1.json"
 	historyFile = "BENCH_history.jsonl"
 )
-
-// throughputAsm is the tight arithmetic loop of the package's
-// BenchmarkSimulatorThroughput: 1M iterations of add/cmp/blt plus the
-// delay-slot NOP — four simulated instructions per trip.
-const throughputAsm = `
-main:	add r0,#0,r1
-	li #1000000,r2
-loop:	add r1,#1,r1
-	cmp r1,r2
-	blt loop
-	nop
-	ret r25,#8
-	nop
-`
 
 type benchReport struct {
 	Schema     string `json:"schema"`
 	Engine     string `json:"engine"`
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Simulator is the throughput under the engine the run used;
-	// SimulatorByEngine holds all three engines for the speedup ladder.
-	Simulator         simThroughput            `json:"simulator_throughput"`
-	SimulatorByEngine map[string]simThroughput `json:"simulator_throughput_by_engine"`
-	BlockSpeedup      float64                  `json:"block_speedup_over_step"`
-	TraceSpeedup      float64                  `json:"trace_speedup_over_block"`
-	// TraceCoverage describes the trace tier's dynamic-fusion coverage on
-	// the reference loop: how much of the instruction stream retired
-	// inside compiled traces and which opcode n-grams measured hottest.
-	TraceCoverage traceCoverage `json:"trace_coverage"`
 	// Pipeline aggregates the cycle-accurate five-stage pipeline
 	// measurement (experiment E11) over the whole suite.
 	Pipeline pipelineReport `json:"pipeline"`
@@ -124,35 +100,18 @@ type smpCellReport struct {
 	Spawns           uint64  `json:"spawns"`
 }
 
-// traceCoverage is the trace tier's fusion-coverage summary.
-type traceCoverage struct {
-	HotBlocks           int                `json:"hot_blocks"`
-	TracesCompiled      uint64             `json:"traces_compiled"`
-	TraceSideExits      uint64             `json:"trace_side_exits"`
-	TraceInvalidations  uint64             `json:"trace_invalidations"`
-	TraceInstructionPct float64            `json:"trace_instruction_pct"`
-	TopNGrams           []risc1.NGramCount `json:"top_ngrams"`
-}
-
 // historyEntry is one line of BENCH_history.jsonl.
 type historyEntry struct {
-	Date         string  `json:"date"`
-	Schema       string  `json:"schema"`
-	Engine       string  `json:"engine"`
-	GoVersion    string  `json:"go_version"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	StepIPS      float64 `json:"step_sim_instructions_per_sec"`
-	BlockIPS     float64 `json:"block_sim_instructions_per_sec"`
-	TraceIPS     float64 `json:"trace_sim_instructions_per_sec"`
-	BlockSpeedup float64 `json:"block_speedup_over_step"`
-	TraceSpeedup float64 `json:"trace_speedup_over_block"`
-	TracePct     float64 `json:"trace_instruction_pct"`
-	CPIDelayed   float64 `json:"cpi_delayed"`
-	CPISquash    float64 `json:"cpi_squash"`
-	PipeAdvPct   float64 `json:"delayed_advantage_pct"`
+	Date       string  `json:"date"`
+	Schema     string  `json:"schema"`
+	Engine     string  `json:"engine"`
+	GoVersion  string  `json:"go_version"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	CPIDelayed float64 `json:"cpi_delayed"`
+	CPISquash  float64 `json:"cpi_squash"`
+	PipeAdvPct float64 `json:"delayed_advantage_pct"`
 	// Best parallel-kernel speedup and total contention charge at four
-	// cores, so SMP scalability is trackable over time alongside
-	// throughput.
+	// cores, so SMP scalability is trackable over time.
 	SMPSpeedup4   float64 `json:"smp_best_speedup_4core"`
 	SMPContention uint64  `json:"smp_contention_cycles_4core"`
 }
@@ -161,12 +120,6 @@ type failureReport struct {
 	Bench  string `json:"bench"`
 	Target string `json:"target"`
 	Error  string `json:"error"`
-}
-
-type simThroughput struct {
-	Instructions       uint64  `json:"sim_instructions"`
-	Seconds            float64 `json:"wall_seconds"`
-	InstructionsPerSec float64 `json:"sim_instructions_per_sec"`
 }
 
 type experimentTiming struct {
@@ -186,11 +139,10 @@ type headlineMetrics struct {
 func main() {
 	which := flag.String("exp", "all", "experiment id (E1..E12) or all")
 	targetFlag := flag.String("target", "", "run the per-benchmark table for one target; only \"pipelined\" (shorthand for -exp E11)")
-	jsonOut := flag.Bool("json", false, "write "+benchFile+" with throughput and headline metrics")
+	jsonOut := flag.Bool("json", false, "write "+benchFile+" with the pipeline, SMP and headline metrics")
 	timeout := flag.Duration("timeout", 0, "per-configuration wall-clock limit (0 = none)")
 	inject := flag.String("inject", "", "benchmark name to run under an injected memory fault")
-	engineFlag := flag.String("engine", "auto", "RISC execution engine for all runs: auto, block, step or trace")
-	profileOut := flag.String("profile", "", "write the reference loop's execution-heat profile as JSON to this file (- for stdout)")
+	engineFlag := flag.String("engine", "auto", "RISC execution engine for all runs: auto or step")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of riscbench to this file")
 	flag.Parse()
 
@@ -256,12 +208,6 @@ func main() {
 	}
 
 	failures := lab.Failures()
-	if *profileOut != "" {
-		if err := writeBenchProfile(*profileOut, engine); err != nil {
-			fmt.Fprintf(os.Stderr, "riscbench: %v\n", err)
-			exit(1)
-		}
-	}
 	if *jsonOut {
 		if err := writeReport(lab, engine, timings, failures); err != nil {
 			fmt.Fprintf(os.Stderr, "riscbench: %v\n", err)
@@ -308,76 +254,12 @@ func startCPUProfile(path string) error {
 	return nil
 }
 
-// measureThroughput runs the reference loop once under the given engine,
-// returning the machine so the caller can mine its profile.
-func measureThroughput(e risc1.Engine) (simThroughput, *risc1.Machine, error) {
-	m := risc1.NewMachine(risc1.MachineConfig{Engine: e})
-	if err := m.LoadAssembly(throughputAsm); err != nil {
-		return simThroughput{}, nil, err
-	}
-	start := time.Now()
-	if err := m.Run(); err != nil {
-		return simThroughput{}, nil, err
-	}
-	secs := time.Since(start).Seconds()
-	instrs := m.Info().Instructions
-	return simThroughput{
-		Instructions:       instrs,
-		Seconds:            secs,
-		InstructionsPerSec: float64(instrs) / secs,
-	}, m, nil
-}
-
-// writeBenchProfile runs the reference loop on a trace-capable engine and
-// dumps its execution-heat profile in riscrun's -profile JSON shape.
-func writeBenchProfile(path string, engine risc1.Engine) error {
-	if engine == risc1.EngineBlock || engine == risc1.EngineStep {
-		engine = risc1.EngineTrace // heat is only counted on the trace tier
-	}
-	_, m, err := measureThroughput(engine)
-	if err != nil {
-		return err
-	}
-	info := m.Info()
-	dump := struct {
-		Schema             string               `json:"schema"`
-		Engine             string               `json:"engine"`
-		TracesCompiled     uint64               `json:"traces_compiled"`
-		TraceSideExits     uint64               `json:"trace_side_exits"`
-		TraceInvalidations uint64               `json:"trace_invalidations"`
-		TraceInstructions  uint64               `json:"trace_instructions"`
-		HotBlocks          int                  `json:"hot_blocks"`
-		Blocks             []risc1.BlockProfile `json:"blocks"`
-		NGrams             []risc1.NGramCount   `json:"ngrams"`
-	}{
-		Schema:             "risc1-profile/1",
-		Engine:             engine.String(),
-		TracesCompiled:     info.TracesCompiled,
-		TraceSideExits:     info.TraceSideExits,
-		TraceInvalidations: info.TraceInvalidations,
-		TraceInstructions:  info.TraceInstructions,
-		HotBlocks:          info.HotBlocks,
-		Blocks:             m.Profile(),
-		NGrams:             append(m.HotNGrams(2, 8), m.HotNGrams(3, 8)...),
-	}
-	out, err := json.MarshalIndent(&dump, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
-}
-
-// writeReport measures raw simulator throughput under all engines, pulls
-// the headline numbers out of the (already warm) lab, then writes the JSON
-// report and appends a dated line to the throughput history.
+// writeReport pulls the pipeline, SMP and headline numbers out of the
+// (already warm) lab, then writes the JSON report and appends a dated line
+// to the history.
 func writeReport(lab *exp.Lab, engine risc1.Engine, timings []experimentTiming, failures []exp.Failure) error {
 	rep := benchReport{
-		Schema:      "risc1-bench/5",
+		Schema:      "risc1-bench/6",
 		Engine:      engine.String(),
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
@@ -387,50 +269,6 @@ func writeReport(lab *exp.Lab, engine risc1.Engine, timings []experimentTiming, 
 		rep.Failures = append(rep.Failures, failureReport{
 			Bench: f.Bench, Target: f.Target.String(), Error: f.Err.Error(),
 		})
-	}
-
-	stepT, _, err := measureThroughput(risc1.EngineStep)
-	if err != nil {
-		return err
-	}
-	blockT, _, err := measureThroughput(risc1.EngineBlock)
-	if err != nil {
-		return err
-	}
-	traceT, traceM, err := measureThroughput(risc1.EngineTrace)
-	if err != nil {
-		return err
-	}
-	rep.SimulatorByEngine = map[string]simThroughput{
-		"step":  stepT,
-		"block": blockT,
-		"trace": traceT,
-	}
-	if stepT.Seconds > 0 && blockT.Seconds > 0 {
-		rep.BlockSpeedup = blockT.InstructionsPerSec / stepT.InstructionsPerSec
-	}
-	if blockT.Seconds > 0 && traceT.Seconds > 0 {
-		rep.TraceSpeedup = traceT.InstructionsPerSec / blockT.InstructionsPerSec
-	}
-	traceInfo := traceM.Info()
-	rep.TraceCoverage = traceCoverage{
-		HotBlocks:          traceInfo.HotBlocks,
-		TracesCompiled:     traceInfo.TracesCompiled,
-		TraceSideExits:     traceInfo.TraceSideExits,
-		TraceInvalidations: traceInfo.TraceInvalidations,
-		TopNGrams:          traceM.HotNGrams(3, 8),
-	}
-	if traceInfo.Instructions > 0 {
-		rep.TraceCoverage.TraceInstructionPct =
-			100 * float64(traceInfo.TraceInstructions) / float64(traceInfo.Instructions)
-	}
-	switch engine {
-	case risc1.EngineStep:
-		rep.Simulator = stepT
-	case risc1.EngineBlock:
-		rep.Simulator = blockT
-	default: // auto and trace both run the trace tier
-		rep.Simulator = traceT
 	}
 
 	e11, err := exp.E11PipelinedCPI(lab)
@@ -536,12 +374,6 @@ func writeReport(lab *exp.Lab, engine risc1.Engine, timings []experimentTiming, 
 		Engine:        rep.Engine,
 		GoVersion:     rep.GoVersion,
 		GOMAXPROCS:    rep.GOMAXPROCS,
-		StepIPS:       stepT.InstructionsPerSec,
-		BlockIPS:      blockT.InstructionsPerSec,
-		TraceIPS:      traceT.InstructionsPerSec,
-		BlockSpeedup:  rep.BlockSpeedup,
-		TraceSpeedup:  rep.TraceSpeedup,
-		TracePct:      rep.TraceCoverage.TraceInstructionPct,
 		CPIDelayed:    rep.Pipeline.CPIDelayed,
 		CPISquash:     rep.Pipeline.CPISquash,
 		PipeAdvPct:    rep.Pipeline.DelayedAdvPct,
@@ -550,7 +382,7 @@ func writeReport(lab *exp.Lab, engine risc1.Engine, timings []experimentTiming, 
 	})
 }
 
-// appendHistory adds one JSON line to the throughput history file.
+// appendHistory adds one JSON line to the history file.
 func appendHistory(e historyEntry) error {
 	line, err := json.Marshal(&e)
 	if err != nil {

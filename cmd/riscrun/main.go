@@ -20,8 +20,8 @@
 // -profile dumps the run's execution-heat profile — block leaders with
 // their dispatch counts and trace membership, plus the measured dynamic
 // opcode n-grams and the trace tier's counters — as JSON to the given
-// file ("-" for stdout). Heat is collected by the trace-capable engines
-// (auto, trace); under -engine block or step the profile is empty.
+// file ("-" for stdout). Heat is collected by the auto engine's trace tier;
+// under -engine step the profile is empty.
 //
 // -cpuprofile writes a host CPU profile of riscrun itself (compile and run)
 // to the given file, for go tool pprof.
@@ -39,7 +39,7 @@ import (
 	"risc1"
 )
 
-// profileDump is the JSON shape behind -profile, shared with riscbench.
+// profileDump is the JSON shape behind -profile.
 type profileDump struct {
 	Schema             string               `json:"schema"`
 	Engine             string               `json:"engine"`
@@ -86,7 +86,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort execution after this wall-clock duration (0 = none)")
 	maxCycles := flag.Uint64("max-cycles", risc1.DefaultMaxCycles,
 		"abort after this many simulated cycles (0 = machine default); riscd enforces the same default budget")
-	engineFlag := flag.String("engine", "auto", "RISC execution engine: auto, block, step or trace")
+	engineFlag := flag.String("engine", "auto", "RISC execution engine: auto or step")
 	cores := flag.Int("cores", 1, "shared-memory cores for .cm sources (windowed target only)")
 	race := flag.Bool("race", false, "run under the dynamic race detector (windowed .cm sources); races exit 1")
 	profile := flag.String("profile", "", "write the execution-heat profile as JSON to this file (- for stdout)")

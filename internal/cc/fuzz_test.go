@@ -28,7 +28,7 @@ func FuzzCompileCm(f *testing.F) {
 		f.Add(randomProgram(r))
 	}
 	f.Add("int A(){")
-	// Nested indexing pins one register a level: the generators run out.
+	// Nested indexing pins one register a level, past the free registers.
 	f.Add("int *p; int main() { putint(" + strings.Repeat("p[", 20) + "0" + strings.Repeat("]", 20) + "); return 0; }")
 	f.Add("int main() { putint((((1)))); return 0; }")
 	f.Fuzz(func(t *testing.T, src string) {

@@ -172,9 +172,10 @@ func (g *riscGen) genAddrOf(e Expr) (tref, int, error) {
 				return base, size, nil
 			}
 		}
-		rb := g.reg(base)
-		g.pin(rb)
+		g.pin(g.reg(base))
+		g.bases = append(g.bases, base)
 		ri, ti, err := g.operandReg(x.Idx)
+		g.bases = g.bases[:len(g.bases)-1]
 		if err != nil {
 			return -1, 0, err
 		}
@@ -186,8 +187,12 @@ func (g *riscGen) genAddrOf(e Expr) (tref, int, error) {
 			g.emit("sll r%d,#2,r%d", ri, g.reg(ti))
 			ri = g.reg(ti)
 		}
-		g.unpin(g.reg(base))
-		g.emit("add r%d,r%d,r%d", g.reg(base), ri, g.reg(base))
+		if ti >= 0 && g.temps[base].reg < 0 {
+			g.pin(ri) // keep the index while the spilled base reloads
+		}
+		rb := g.reg(base)
+		g.unpin(rb)
+		g.emit("add r%d,r%d,r%d", rb, ri, rb)
 		if ti >= 0 {
 			g.pop(ti)
 		}

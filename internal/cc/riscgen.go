@@ -141,6 +141,7 @@ type riscGen struct {
 	temps     []rtemp
 	freeRegs  []uint8
 	pinned    map[uint8]bool
+	bases     []tref // subscript bases pinned while their indexes evaluate
 	freeSlots []int
 	spillMax  int // total spill slots ever allocated
 	labelN    int
@@ -276,6 +277,7 @@ func (g *riscGen) genFunc(fn *FuncDecl) error {
 	g.memBytes = 0
 	g.temps = nil
 	g.pinned = map[uint8]bool{}
+	g.bases = g.bases[:0]
 	g.freeSlots, g.spillMax = nil, 0
 	g.labelN = 0
 	g.breakL, g.contL = nil, nil
@@ -419,16 +421,29 @@ func (g *riscGen) takeReg() uint8 {
 	}
 	// Spill the oldest unpinned in-register temporary.
 	for i := range g.temps {
-		t := &g.temps[i]
-		if t.reg >= 0 && !g.pinned[uint8(t.reg)] {
-			r := uint8(t.reg)
-			t.slot = g.allocSlot()
-			g.emit("stl r%d,(r%d)#%d", r, g.conv.sp, g.slotOff(t.slot))
-			t.reg = -1
-			return r
+		if t := &g.temps[i]; t.reg >= 0 && !g.pinned[uint8(t.reg)] {
+			return g.spill(t)
+		}
+	}
+	// Every register is pinned. A subscript base is reloaded through its
+	// temporary once the index is done, so spill the outermost one.
+	for _, b := range g.bases {
+		if t := &g.temps[b]; t.reg >= 0 {
+			delete(g.pinned, uint8(t.reg))
+			return g.spill(t)
 		}
 	}
 	panic(outOfRegisters{g.curLine})
+}
+
+// spill stores the register-resident temporary t to a frame slot and
+// returns the register it held.
+func (g *riscGen) spill(t *rtemp) uint8 {
+	r := uint8(t.reg)
+	t.slot = g.allocSlot()
+	g.emit("stl r%d,(r%d)#%d", r, g.conv.sp, g.slotOff(t.slot))
+	t.reg = -1
+	return r
 }
 
 func (g *riscGen) allocSlot() int {

@@ -66,7 +66,7 @@ type Config struct {
 	// of this knob.
 	Engine Engine
 	// HotThreshold is how many executions warm a block leader before the
-	// trace tier (EngineAuto/EngineTrace) compiles a superblock there
+	// trace tier (EngineAuto) compiles a superblock there
 	// (default 16). Lower values trade compile churn for earlier traces.
 	HotThreshold uint64
 }
@@ -93,7 +93,7 @@ func (c Config) withDefaults() Config {
 	if c.HotThreshold == 0 {
 		c.HotThreshold = 16
 	}
-	if c.Engine > EngineTrace {
+	if c.Engine > EngineStep {
 		// Defense in depth for a dropped ParseEngine error: an
 		// out-of-range engine (EngineInvalid) degrades to auto rather
 		// than selecting behavior by accident. Parse boundaries are
@@ -186,12 +186,12 @@ type sharedCode struct {
 	// lines.
 	blocks []*block
 
-	// Trace tier (EngineAuto/EngineTrace): heat[w] counts executions of
-	// the block leading at word w; traces[w] is the compiled superblock
-	// headed there (noTrace = tried, not worth it; the slice is allocated
-	// on first compile). The write watch drops any live trace overlapping
-	// a store alongside the blocks, bumping traceGen so a running turbo
-	// trace notices at its next store.
+	// Trace tier (EngineAuto): heat[w] counts executions of the block
+	// leading at word w; traces[w] is the compiled superblock headed there
+	// (noTrace = tried, not worth it; the slice is allocated on first
+	// compile). The write watch drops any live trace overlapping a store
+	// alongside the blocks, bumping traceGen so a running turbo trace
+	// notices at its next store.
 	heat       []uint64
 	traces     []*trace
 	liveTraces []*trace

@@ -9,24 +9,21 @@ type Engine uint8
 
 const (
 	// EngineAuto picks the fastest engine: the trace tier (block
-	// execution plus profile-guided superblocks once a leader warms up),
-	// or plain block execution while a Retire hook is installed, since
-	// superblocks do not report their retirements.
+	// execution with heat counters, compiling hot paths that span taken
+	// delayed branches into guarded superblocks), or plain block execution
+	// while a Retire hook is installed, since superblocks do not report
+	// their retirements.
 	EngineAuto Engine = iota
 	// EngineBlock forces basic-block execution without the trace tier.
 	// Individual instructions still single-step where a block cannot
 	// apply: delay slots entered mid-flight, pending interrupts,
-	// invalidated or undecodable code.
+	// invalidated or undecodable code. It has no public spelling: the
+	// pipelined target selects it, and the engine differentials and
+	// benchmarks use it to cover the block tier on its own.
 	EngineBlock
 	// EngineStep forces the single-step interpreter: Step in a loop, the
 	// reference semantics.
 	EngineStep
-	// EngineTrace forces the trace/superblock tier: block execution with
-	// heat counters, compiling hot paths that span taken delayed branches
-	// into guarded superblocks. Cold code still runs on blocks and single
-	// steps exactly like EngineBlock, and so does everything while a
-	// Retire hook is installed.
-	EngineTrace
 )
 
 // EngineInvalid is the sentinel ParseEngine returns alongside its error. It
@@ -42,8 +39,6 @@ func (e Engine) String() string {
 		return "block"
 	case EngineStep:
 		return "step"
-	case EngineTrace:
-		return "trace"
 	case EngineInvalid:
 		return "invalid"
 	default:
@@ -58,12 +53,8 @@ func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "auto":
 		return EngineAuto, nil
-	case "block":
-		return EngineBlock, nil
 	case "step":
 		return EngineStep, nil
-	case "trace":
-		return EngineTrace, nil
 	}
-	return EngineInvalid, fmt.Errorf("core: unknown engine %q (want auto, block, step or trace)", s)
+	return EngineInvalid, fmt.Errorf("core: unknown engine %q (want auto or step)", s)
 }

@@ -12,13 +12,13 @@ import (
 
 // The compiled engines' contract is observational equivalence with Step.
 // Every test here runs the same image under the step oracle, the block
-// engine and the trace tier, and requires the complete visible machine
-// state — PC pair, lastPC, flags, windows, console, full Stats(), and
-// fault identity — to match exactly.
+// engine and the auto engine (the trace tier), and requires the complete
+// visible machine state — PC pair, lastPC, flags, windows, console, full
+// Stats(), and fault identity — to match exactly.
 
 // runLog is what a run's hooks saw: the counters at every Progress call
 // and, under the step and block engines, every retired instruction. The
-// trace engine gets no Retire hook, since the trace tier stands down under
+// auto engine gets no Retire hook, since the trace tier stands down under
 // one.
 type runLog struct {
 	progress [][2]uint64
@@ -26,13 +26,13 @@ type runLog struct {
 }
 
 // runEngine loads img into a fresh CPU with the given engine, arms plan
-// (nil for none) and runs it, logging its hooks. The trace engine gets an
+// (nil for none) and runs it, logging its hooks. The auto engine gets an
 // aggressive HotThreshold (unless the test set one) so superblocks
 // actually compile inside small test workloads.
 func runEngine(t *testing.T, cfg Config, e Engine, img *asm.Image, plan *mem.FaultPlan) (*CPU, *runLog, error) {
 	t.Helper()
 	cfg.Engine = e
-	if e == EngineTrace && cfg.HotThreshold == 0 {
+	if e == EngineAuto && cfg.HotThreshold == 0 {
 		cfg.HotThreshold = 2
 	}
 	c := New(cfg)
@@ -46,7 +46,7 @@ func runEngine(t *testing.T, cfg Config, e Engine, img *asm.Image, plan *mem.Fau
 	c.Progress = func(instructions, cycles uint64) {
 		log.progress = append(log.progress, [2]uint64{instructions, cycles})
 	}
-	if e != EngineTrace {
+	if e != EngineAuto {
 		recordRetire(t, c, &log.retired)
 	}
 	return c, log, c.Run()
@@ -61,7 +61,7 @@ func diffEngines(t *testing.T, cfg Config, src string) (*CPU, *CPU) {
 	cb, lb, errB := runEngine(t, cfg, EngineBlock, img, nil)
 	compareEngines(t, "block", cs, cb, errS, errB)
 	compareHooks(t, ls, lb)
-	ct, _, errT := runEngine(t, cfg, EngineTrace, img, nil)
+	ct, _, errT := runEngine(t, cfg, EngineAuto, img, nil)
 	compareEngines(t, "trace", cs, ct, errS, errT)
 	return cs, cb
 }
@@ -296,7 +296,7 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 			}
 			compareEngines(t, "block", cs, cb, errS, errB)
 			compareHooks(t, ls, lb)
-			ct, _, errT := runEngine(t, tc.cfg, EngineTrace, img, nil)
+			ct, _, errT := runEngine(t, tc.cfg, EngineAuto, img, nil)
 			compareEngines(t, "trace", cs, ct, errS, errT)
 		})
 	}
@@ -317,7 +317,7 @@ func TestEngineEquivalenceMaxCycles(t *testing.T) {
 				cb, lb, errB := runEngine(t, Config{MaxCycles: limit}, EngineBlock, img, nil)
 				compareEngines(t, "block", cs, cb, errS, errB)
 				compareHooks(t, ls, lb)
-				ct, _, errT := runEngine(t, Config{MaxCycles: limit}, EngineTrace, img, nil)
+				ct, _, errT := runEngine(t, Config{MaxCycles: limit}, EngineAuto, img, nil)
 				compareEngines(t, "trace", cs, ct, errS, errT)
 			}
 		})
@@ -413,7 +413,7 @@ func TestEngineEquivalenceInterrupt(t *testing.T) {
 	cs, errS := run(EngineStep)
 	cb, errB := run(EngineBlock)
 	compareEngines(t, "block", cs, cb, errS, errB)
-	ct, errT := run(EngineTrace)
+	ct, errT := run(EngineAuto)
 	compareEngines(t, "trace", cs, ct, errS, errT)
 	if cs.Console() != "50" {
 		t.Fatalf("console = %q, want 50", cs.Console())
@@ -464,10 +464,10 @@ const faultMidBlockSrc = `
 	`
 
 // TestEngineAutoTraceFallsBack pins the Retire hook contract: under the
-// step, block, auto and trace engines the hook sees every retired
-// instruction exactly once, in order, with the same transfer outcomes, and
-// never an instruction that faulted. With the hook installed the auto and
-// trace engines run blocks but no superblocks.
+// step, block and auto engines the hook sees every retired instruction
+// exactly once, in order, with the same transfer outcomes, and never an
+// instruction that faulted. With the hook installed the auto engine runs
+// blocks but no superblocks.
 func TestEngineAutoTraceFallsBack(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -482,7 +482,7 @@ func TestEngineAutoTraceFallsBack(t *testing.T) {
 	} {
 		img := asm.MustAssemble(tc.src)
 		var want []retirement
-		for _, e := range []Engine{EngineStep, EngineBlock, EngineAuto, EngineTrace} {
+		for _, e := range []Engine{EngineStep, EngineBlock, EngineAuto} {
 			cfg := tc.cfg
 			cfg.Engine = e
 			cfg.HotThreshold = 2
@@ -521,18 +521,21 @@ func TestEngineAutoTraceFallsBack(t *testing.T) {
 
 // TestParseEngine pins the knob's spellings.
 func TestParseEngine(t *testing.T) {
-	for s, want := range map[string]Engine{"": EngineAuto, "auto": EngineAuto, "block": EngineBlock, "step": EngineStep, "trace": EngineTrace} {
+	for s, want := range map[string]Engine{"": EngineAuto, "auto": EngineAuto, "step": EngineStep} {
 		got, err := ParseEngine(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseEngine(%q) = %v, %v", s, got, err)
 		}
 	}
-	if got, err := ParseEngine("warp"); err == nil {
-		t.Fatal("ParseEngine accepted garbage")
-	} else if got != EngineInvalid {
-		// The sentinel must never alias a runnable engine: a caller that
-		// drops the error must not get a silent auto run.
-		t.Fatalf("ParseEngine(garbage) = %v, want EngineInvalid", got)
+	// The block tier has no public spelling, and "trace" is what auto runs.
+	for _, s := range []string{"warp", "block", "trace"} {
+		if got, err := ParseEngine(s); err == nil {
+			t.Fatalf("ParseEngine accepted %q", s)
+		} else if got != EngineInvalid {
+			// The sentinel must never alias a runnable engine: a caller
+			// that drops the error must not get a silent auto run.
+			t.Fatalf("ParseEngine(%q) = %v, want EngineInvalid", s, got)
+		}
 	}
 	if got := EngineInvalid.String(); got != "invalid" {
 		t.Fatalf("EngineInvalid.String() = %q", got)
@@ -616,7 +619,7 @@ func TestEngineEquivalenceBatchCut(t *testing.T) {
 		cb, lb, errB := runEngine(t, cfg, EngineBlock, img, plan())
 		compareEngines(t, "block", cs, cb, errS, errB)
 		compareHooks(t, ls, lb)
-		ct, _, errT := runEngine(t, cfg, EngineTrace, img, plan())
+		ct, _, errT := runEngine(t, cfg, EngineAuto, img, plan())
 		compareEngines(t, "trace", cs, ct, errS, errT)
 		return cs
 	}

@@ -189,7 +189,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			cb, lb, errB := runEngine(t, cfg, EngineBlock, img, nil)
 			compareEngines(t, "block", cs, cb, errS, errB)
 			compareHooks(t, ls, lb)
-			ct, _, errT := runEngine(t, cfg, EngineTrace, img, nil)
+			ct, _, errT := runEngine(t, cfg, EngineAuto, img, nil)
 			compareEngines(t, "trace", cs, ct, errS, errT)
 		}
 	})

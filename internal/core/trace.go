@@ -42,7 +42,7 @@ type TraceStats struct {
 }
 
 // TraceStats returns the trace tier's counters (all zero unless the
-// engine is EngineAuto or EngineTrace and something got hot).
+// engine is EngineAuto and something got hot).
 func (c *CPU) TraceStats() TraceStats { return c.traceStat }
 
 // HotThreshold reports the configured trace-compile threshold.
@@ -753,8 +753,8 @@ type HeatEntry struct {
 }
 
 // HeatProfile returns the non-zero block-heat table sorted hottest-first
-// (ties by address). Heat is counted by the trace-capable engines only
-// (EngineAuto, EngineTrace).
+// (ties by address). Heat is counted by the trace tier only (EngineAuto
+// without a Retire hook).
 func (c *CPU) HeatProfile() []HeatEntry {
 	var out []HeatEntry
 	for w, h := range c.heat {

@@ -11,11 +11,11 @@ import (
 // observational equivalence that engine_test.go and the fuzzer already
 // enforce for every program here.
 
-// runTrace runs src under EngineTrace with an aggressive hot threshold so
+// runTrace runs src under EngineAuto with an aggressive hot threshold so
 // traces compile within small test workloads.
 func runTrace(t *testing.T, src string) *CPU {
 	t.Helper()
-	c := New(Config{Engine: EngineTrace, HotThreshold: 2})
+	c := New(Config{Engine: EngineAuto, HotThreshold: 2})
 	if err := c.Load(asm.MustAssemble(src)); err != nil {
 		t.Fatal(err)
 	}

@@ -65,10 +65,10 @@ type Options struct {
 	Windows     int  // register windows (0 = the paper's 8)
 	SpillBatch  int  // windows spilled per overflow trap (0 = 1)
 	NoDelayFill bool // leave NOPs in delay slots
-	// Engine selects the core execution engine (auto, block, step, trace)
-	// for RISC targets; the CX machine ignores it. Engine is part of the
-	// lab cache key, so runs simulated under different engines never share
-	// a cached result.
+	// Engine selects the core execution engine (auto, step, or the block
+	// tier) for RISC targets; the CX machine ignores it. Engine is part of
+	// the lab cache key, so runs simulated under different engines never
+	// share a cached result.
 	Engine core.Engine
 	// Policy selects the control-transfer policy for runs on the
 	// RISCPipelined target (delayed or squash); other targets ignore it.

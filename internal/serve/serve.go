@@ -219,6 +219,10 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
+// Unwrap lets http.ResponseController reach the connection's write
+// deadline through the wrapper.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // endpointLabel collapses parameterized paths so metrics cardinality stays
 // bounded no matter what clients request.
 func endpointLabel(path string) string {

@@ -741,13 +741,14 @@ type atomic64 struct {
 func (a *atomic64) add(d int64) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
 func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
 
-// TestRunEngineSelection pins the engine knob on /v1/run: all engines
-// produce identical results, the engine spelling is validated, and the
+// TestRunEngineSelection pins the engine knob on /v1/run: both engines and
+// the default produce identical results, the engine spelling is validated
+// (the core's internal block tier has no public spelling), and the
 // per-engine run counter shows up in /metrics.
 func TestRunEngineSelection(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	src := "main: add r0,#6,r10\n stl r10,(r0)#-252\n ret r25,#8\n nop\n"
-	engines := []string{"step", "block", "trace"}
+	engines := []string{"step", "auto", ""}
 	got := make([]RunResponse, len(engines))
 	for i, engine := range engines {
 		resp, raw := postJSON(t, ts.URL+"/v1/run",
@@ -767,20 +768,21 @@ func TestRunEngineSelection(t *testing.T) {
 		}
 	}
 
-	resp, raw := postJSON(t, ts.URL+"/v1/run",
-		RunRequest{Source: src, Lang: "asm", Engine: "warp"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad engine: status %d\n%s", resp.StatusCode, raw)
-	}
-	if d := decodeError(t, raw); d.Code != "bad_request" {
-		t.Errorf("bad engine: code %q, want bad_request", d.Code)
+	for _, engine := range []string{"warp", "block", "trace"} {
+		resp, raw := postJSON(t, ts.URL+"/v1/run",
+			RunRequest{Source: src, Lang: "asm", Engine: engine})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("engine %q: status %d\n%s", engine, resp.StatusCode, raw)
+		}
+		if d := decodeError(t, raw); d.Code != "bad_request" {
+			t.Errorf("engine %q: code %q, want bad_request", engine, d.Code)
+		}
 	}
 
-	_, raw = getBody(t, ts.URL+"/metrics")
+	_, raw := getBody(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		`riscd_runs_total{engine="step"} 1`,
-		`riscd_runs_total{engine="block"} 1`,
-		`riscd_runs_total{engine="trace"} 1`,
+		`riscd_runs_total{engine="auto"} 2`,
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("metrics missing %q", want)
@@ -881,7 +883,7 @@ func TestRunTraceTierMetrics(t *testing.T) {
 		nop
 	`
 	resp, raw := postJSON(t, ts.URL+"/v1/run",
-		RunRequest{Source: src, Lang: "asm", Engine: "trace"})
+		RunRequest{Source: src, Lang: "asm"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d\n%s", resp.StatusCode, raw)
 	}

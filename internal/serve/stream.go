@@ -31,6 +31,10 @@ import (
 	"risc1"
 )
 
+// streamWriteGrace is how long past the run's deadline a stream may still
+// write, to deliver its terminal event to a slow client.
+const streamWriteGrace = time.Second
+
 // streamEvent is one SSE frame waiting to be written.
 type streamEvent struct {
 	kind string // "console", "stats", "result" or "error"
@@ -66,6 +70,15 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	s.streams.Add(1)
 	defer s.streams.Add(-1)
 
+	ctx, cancel := s.runCtx(r, p.req.TimeoutMS)
+	defer cancel()
+	// A client that stops reading blocks the writer below in Write, and the
+	// worker with it. The run ends at its deadline; the writes get a grace
+	// past it to deliver the terminal event, then fail. (The error is for a
+	// writer without deadlines; net/http's has them.)
+	deadline, _ := ctx.Deadline()
+	_ = http.NewResponseController(w).SetWriteDeadline(deadline.Add(streamWriteGrace))
+
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
@@ -76,9 +89,6 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 		Cached:     hit,
 		IntervalMS: s.cfg.StreamInterval.Milliseconds(),
 	})
-
-	ctx, cancel := s.runCtx(r, p.req.TimeoutMS)
-	defer cancel()
 
 	// The simulation goroutine owns the events channel: it is the only
 	// sender and closes it when the run is over, terminal event included.

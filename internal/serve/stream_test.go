@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -524,4 +526,86 @@ func TestRetryAfterOnWire(t *testing.T) {
 		t.Errorf("Retry-After = %d, want 1-2 (adaptive, not static %d)", ra, 6)
 	}
 	<-blocked
+}
+
+// chattyAsm prints forever, one console chunk every three instructions.
+const chattyAsm = "main: add r0,#6,r10\n loop: stl r10,(r0)#-252\n jmpr alw,loop\n nop\n"
+
+// TestStreamStalledReaderReleasesWorker is the slow-reader contract: a
+// client that reads the headers of a chatty stream and then stops reading
+// fills the socket and blocks the handler in Write. The write deadline
+// (the run's deadline plus streamWriteGrace) must fail that Write, so the
+// only worker is free for the next request within the run timeout plus the
+// grace, and nothing leaks. Meaningful under -race.
+func TestStreamStalledReaderReleasesWorker(t *testing.T) {
+	const timeout = time.Second
+	before := runtime.NumGoroutine()
+	s := New(Config{Workers: 1, Timeout: timeout})
+	ts := httptest.NewUnstartedServer(s)
+	ts.Listener = smallSendBuffers{ts.Listener}
+	ts.Start()
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	body := fmt.Sprintf(`{"source":%q,"lang":"asm"}`, chattyAsm)
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /v1/run/stream HTTP/1.1\r\nHost: riscd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(body), body)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	// Read nothing more: the stream backs up into the socket buffers.
+
+	client := &http.Client{Timeout: timeout + streamWriteGrace + 2*time.Second}
+	raw, _ := json.Marshal(RunRequest{Source: fibSrc})
+	r2, err := client.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("run behind a stalled stream: %v after %v", err, time.Since(start))
+	}
+	r2.Body.Close()
+	if r2.StatusCode != http.StatusOK {
+		t.Fatalf("run behind a stalled stream: status %d", r2.StatusCode)
+	}
+	if waited := time.Since(start); waited > timeout+streamWriteGrace+time.Second {
+		t.Errorf("next run admitted after %v, want within %v plus the grace", waited, timeout)
+	}
+
+	conn.Close()
+	client.CloseIdleConnections()
+	ts.Close()
+	s.CancelRuns()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if n := runtime.NumGoroutine(); n <= before+3 {
+			break
+		} else if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines: %d before, %d after\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// smallSendBuffers shrinks the send buffer of every accepted connection, so
+// a stalled reader blocks the server's writes after a few kilobytes rather
+// than after the megabytes loopback buffers grow to.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4 << 10)
+	}
+	return c, err
 }

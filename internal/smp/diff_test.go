@@ -24,7 +24,7 @@ func TestSingleCoreDifferential(t *testing.T) {
 	}{
 		{"step", core.EngineStep},
 		{"block", core.EngineBlock},
-		{"trace", core.EngineTrace},
+		{"trace", core.EngineAuto},
 	}
 	for _, b := range prog.All() {
 		res, err := cc.Compile(b.Source, cc.Options{Target: cc.RISCWindowed})

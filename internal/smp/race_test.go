@@ -92,7 +92,7 @@ func runSelfMod(t *testing.T, e core.Engine) string {
 // must invalidate the shared caches so the worker picks up the new
 // instruction at the same architectural point the step oracle would.
 func TestSelfModifyingCrossCore(t *testing.T) {
-	for _, e := range []core.Engine{core.EngineStep, core.EngineBlock, core.EngineTrace} {
+	for _, e := range []core.Engine{core.EngineStep, core.EngineBlock, core.EngineAuto} {
 		got := runSelfMod(t, e)
 		// Both generations of the loop body must actually have run:
 		// all-old would read 10000, all-new 20000.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"risc1/internal/core"
 	"risc1/internal/machine"
 	"risc1/internal/prog"
 	"risc1/internal/timing"
@@ -212,20 +213,27 @@ func checkCycles(t *testing.T, run string, r *machine.Result) {
 }
 
 // TestExperimentIDsAllRunnable checks that every advertised experiment ID
-// renders through the public API (sharing one Lab so common configurations
-// simulate once), and pins every rendered table.
+// renders through the public API (sharing one Lab per engine so common
+// configurations simulate once), and pins every rendered table. The engines
+// differ only in speed, so the report must match the one golden under auto,
+// the core's internal block tier and step.
 func TestExperimentIDsAllRunnable(t *testing.T) {
-	lab := NewLab()
-	var b strings.Builder
-	for _, id := range ExperimentIDs() {
-		out, err := lab.Experiment(id)
-		if err != nil {
-			t.Fatalf("Experiment(%q): %v", id, err)
-		}
-		if out == "" {
-			t.Fatalf("Experiment(%q): empty output", id)
-		}
-		fmt.Fprintf(&b, "== %s ==\n%s\n", id, out)
+	for _, e := range []Engine{EngineAuto, core.EngineBlock, EngineStep} {
+		t.Run(e.String(), func(t *testing.T) {
+			lab := NewLab()
+			lab.l.SetEngine(e)
+			var b strings.Builder
+			for _, id := range ExperimentIDs() {
+				out, err := lab.Experiment(id)
+				if err != nil {
+					t.Fatalf("Experiment(%q): %v", id, err)
+				}
+				if out == "" {
+					t.Fatalf("Experiment(%q): empty output", id)
+				}
+				fmt.Fprintf(&b, "== %s ==\n%s\n", id, out)
+			}
+			checkGolden(t, "testdata/experiments.golden", b.String())
+		})
 	}
-	checkGolden(t, "testdata/experiments.golden", b.String())
 }

@@ -85,22 +85,20 @@ func ParsePolicy(s string) (Policy, error) { return pipeline.ParsePolicy(s) }
 
 // Engine selects how the RISC I core executes: the profile-guided trace
 // tier (the default — basic blocks plus superblocks compiled over hot
-// paths), plain basic-block compilation, or the single-step reference
-// interpreter. The engines are observationally identical — same console,
-// statistics, faults — and differ only in speed; see core.Engine.
+// paths) or the single-step reference interpreter. The engines are
+// observationally identical — same console, statistics, faults — and
+// differ only in speed; see core.Engine.
 type Engine = core.Engine
 
-// The execution engines. EngineAuto resolves to the trace tier unless a
-// per-instruction trace callback is installed.
+// The execution engines. EngineAuto resolves to the trace tier, or to plain
+// basic blocks while a per-instruction trace callback is installed.
 const (
-	EngineAuto  = core.EngineAuto
-	EngineBlock = core.EngineBlock
-	EngineStep  = core.EngineStep
-	EngineTrace = core.EngineTrace
+	EngineAuto = core.EngineAuto
+	EngineStep = core.EngineStep
 )
 
-// ParseEngine maps the CLI/API spelling ("auto", "block", "step", "trace",
-// or empty for auto) to an Engine.
+// ParseEngine maps the CLI/API spelling ("auto", "step", or empty for
+// auto) to an Engine.
 func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
 
 // CompileOptions tunes Cm compilation.
@@ -509,7 +507,7 @@ type MachineConfig struct {
 	Flat      bool // disable window sliding
 	MemSize   int  // RAM bytes (0 = 1 MiB)
 	MaxCycles uint64
-	// Engine selects the execution engine (auto, block, step, trace).
+	// Engine selects the execution engine (auto or step).
 	Engine Engine
 }
 

@@ -201,6 +201,28 @@ func TestCompileErrorSurface(t *testing.T) {
 	}
 }
 
+// TestNestedSubscriptsAllTargets runs p[p[...p[0]...]] nested 1 to 39 deep
+// on every sequential target. Each level holds its base in a register while
+// its index evaluates, so past the free registers a RISC target has to
+// spill a pending base rather than give up. p walks the cycle 0→1→2→3→0, so
+// the printed value depends on the depth, and all three targets must print
+// the same.
+func TestNestedSubscriptsAllTargets(t *testing.T) {
+	for depth := 1; depth <= 39; depth++ {
+		src := "int p[4];\nint main() { p[0] = 1; p[1] = 2; p[2] = 3; p[3] = 0;\nputint(" +
+			strings.Repeat("p[", depth) + "0" + strings.Repeat("]", depth) + "); return 0; }"
+		want := fmt.Sprint(depth % 4)
+		for _, target := range []risc1.Target{risc1.CISC, risc1.RISCWindowed, risc1.RISCFlat} {
+			out, err := risc1.BuildAndRun(src, target)
+			if err != nil {
+				t.Errorf("depth %d on %v: %v", depth, target, err)
+			} else if out.Console != want {
+				t.Errorf("depth %d on %v: console %q, want %q", depth, target, out.Console, want)
+			}
+		}
+	}
+}
+
 // parallelSrc spawns one worker; 0+1+2 = 3 under any interleaving thanks to
 // the spinlock.
 const parallelSrc = `
