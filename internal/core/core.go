@@ -501,12 +501,12 @@ func (c *CPU) runSlice(budget int, useBlocks, useTraces bool) (int, error) {
 		}
 		// Under traces a block longer than the budget single-steps: the
 		// heat profile and trace selection are pinned to that batching.
-		if b, w, nops, k := c.nextBlock(budget, !useTraces); b != nil {
+		if b, w, k := c.nextBlock(budget, !useTraces); b != nil {
 			// A run stopped early (a fault, a halt, a store into its own
 			// block) charges fewer than k: count what it charged, as Step
 			// would.
 			before := c.stat.Instructions
-			err := c.runBlock(w, b, nops, k)
+			err := c.runBlock(w, b, k)
 			if useTraces {
 				c.bumpHeat(w)
 			}
