@@ -3,7 +3,7 @@ package cisc
 // Basic-block tier.
 //
 // A block is the straight run of recorded predecode entries from a leader
-// up to and including the first control transfer (or runBatch entries, or
+// up to and including the first control transfer (or maxBlock entries, or
 // the first offset with no live entry). It compiles to one closure per
 // instruction, specialized by opcode and operand kind; shapes without a
 // specialization call exec. Blocks are built only from entries that
@@ -103,7 +103,7 @@ func (c *CPU) compileBlock(off uint32) *block {
 	var mix [256]uint32
 	var prev uint64 // what the last instruction so far may charge
 	pc := c.codeOrg + off
-	for len(b.ops) < runBatch {
+	for len(b.ops) < maxBlock {
 		o := pc - c.codeOrg
 		if o >= uint32(len(c.index)) {
 			break

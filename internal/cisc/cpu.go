@@ -137,7 +137,7 @@ type CPU struct {
 	blockSpan uint32
 
 	// Progress, when non-nil, is called at RunContext batch boundaries —
-	// at most once per runBatch instructions — with the instruction and
+	// once per runBatch (4096) instructions — with the instruction and
 	// microcycle counters retired so far. It runs on the simulation
 	// goroutine; keep it cheap.
 	Progress func(instructions, cycles uint64)
@@ -222,7 +222,10 @@ func (c *CPU) Stats() *stats.Stats {
 
 // runBatch is how many instructions RunContext executes between checks of
 // the context, mirroring the core simulator's batch size.
-const runBatch = 64
+const runBatch = 4096
+
+// maxBlock caps how many instructions one compiled block spans.
+const maxBlock = 64
 
 // Run executes until halt, fault or the microcycle budget runs out.
 func (c *CPU) Run() error { return c.RunContext(context.Background()) }

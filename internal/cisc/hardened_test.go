@@ -33,6 +33,28 @@ func TestCXRunContextDeadline(t *testing.T) {
 	}
 }
 
+// TestCXRunContextCancelAtBatch cancels the context from the first
+// Progress call: the run must stop at that batch boundary, after exactly
+// one batch of 4096 instructions, all of which the hook saw.
+func TestCXRunContextCancelAtBatch(t *testing.T) {
+	c := New(Config{})
+	if err := c.Load(MustAssemble(cxInfiniteLoop)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var seen []uint64
+	c.Progress = func(instructions, _ uint64) {
+		seen = append(seen, instructions)
+		cancel()
+	}
+	if err := c.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want Canceled", err)
+	}
+	if len(seen) != 1 || seen[0] != 4096 || c.Stats().Instructions != 4096 {
+		t.Fatalf("Progress saw %v, run retired %d, want one batch of 4096", seen, c.Stats().Instructions)
+	}
+}
+
 // TestCXInjectedFaultSurfacesAsRunError checks the mem fault-injection hook
 // reaches CX run errors with the machine state attached.
 func TestCXInjectedFaultSurfacesAsRunError(t *testing.T) {

@@ -2,12 +2,13 @@
 // instructions — up to and including a delayed transfer plus its delay
 // slot — are compiled once into a flat list of specialized closures, one
 // per instruction, and their fixed per-instruction accounting (cycle
-// cost, instruction count, opcode mix) is charged in one batched update
-// per block. Everything observable must match Step exactly: faults unwind
-// the accounting of the instructions that never ran and restore the
-// precise PC pair, MaxCycles refuses at the same instruction boundary,
-// and a store into the executing block stops it at the store (the
-// self-modifying-code contract of the predecode cache).
+// cost, instruction count) is charged in one batched update per block; a
+// full run's opcode mix is one more run of the block, which Stats
+// multiplies out (countRuns). Everything observable must match Step
+// exactly: faults unwind the accounting of the instructions that never
+// ran and restore the precise PC pair, MaxCycles refuses at the same
+// instruction boundary, and a store into the executing block stops it at
+// the store (the self-modifying-code contract of the predecode cache).
 package core
 
 import (
@@ -165,7 +166,7 @@ func (c *CPU) blockAt(w uint32) *block {
 // if no blockable span begins there.
 func (c *CPU) compileBlock(start int) *block {
 	p := cfg.New(c.codeOrg, c.predec, c.predecOK)
-	span := p.BlockSpan(start, runBatch, blockable)
+	span := p.BlockSpan(start, maxBlock, blockable)
 	n := span.Words()
 	if n == 0 {
 		return noBlock
@@ -239,9 +240,7 @@ func (c *CPU) runBlock(w uint32, b *block, k int) error {
 	c.stat.Instructions += uint64(k)
 	if k == b.nInst {
 		c.stat.Cycles += b.fixedCycles
-		for _, oc := range b.counts {
-			c.opCounts[oc.op] += uint64(oc.n)
-		}
+		c.countRuns(w, b, 1)
 	} else {
 		for _, ic := range b.costs[:k] {
 			c.stat.Cycles += uint64(ic.cycles)
@@ -371,6 +370,37 @@ func (c *CPU) runBlock(w uint32, b *block, k int) error {
 	c.npc = c.pc + 4
 	c.retired(w, b.nInst, transferred)
 	return nil
+}
+
+// blockRuns counts one core's full runs of the block leading at a word
+// whose opcode mix is not yet in opCounts. Each core keeps its own, since
+// opcode mixes are per core and blocks are shared.
+type blockRuns struct {
+	b *block
+	n uint64
+}
+
+// countRuns records n full runs of b, which leads at word w. Their mix is
+// multiplied into opCounts only when Stats reads it, or when w's slot
+// meets a different block because the old one was invalidated.
+func (c *CPU) countRuns(w uint32, b *block, n uint64) {
+	r := &c.runs[w]
+	if r.b != b {
+		c.foldRuns(r)
+		r.b = b
+	}
+	r.n += n
+}
+
+// foldRuns adds r's pending runs to opCounts.
+func (c *CPU) foldRuns(r *blockRuns) {
+	if r.n == 0 {
+		return
+	}
+	for _, oc := range r.b.counts {
+		c.opCounts[oc.op] += r.n * uint64(oc.n)
+	}
+	r.n = 0
 }
 
 // retired reports the first k instructions of the block leading at word w

@@ -218,8 +218,11 @@ type CPU struct {
 	savePtr  uint32 // register-save stack, grows down from top of RAM
 	saveBase uint32
 
-	stat      *stats.Stats
-	opCounts  [128]uint64 // per-opcode execution counts (hot path)
+	stat *stats.Stats
+	// opCounts are the per-opcode counts (hot path) less the block runs
+	// pending in runs; an unwind before the fold wraps and nets out there.
+	opCounts  [128]uint64
+	runs      []blockRuns // per leader word: this core's unfolded full block runs
 	inDelay   bool        // next instruction occupies a delay slot
 	callDepth int
 	pendIRQ   []uint32 // pending interrupt vectors
@@ -250,7 +253,8 @@ type CPU struct {
 	retireBuf [1]isa.Inst
 
 	// Progress, when non-nil, is called at RunContext batch boundaries —
-	// at most once per runBatch instructions — with the instruction and
+	// every runBatch instructions, or sooner where the trace tier ends a
+	// batch to re-enter a trace on a fresh one — with the instruction and
 	// cycle counters retired so far. The compiled engines surface at
 	// batch boundaries anyway, so the hook costs one call per batch. It
 	// runs on the simulation goroutine; keep it cheap.
@@ -320,6 +324,7 @@ func (c *CPU) predecode(img *asm.Image) {
 	c.codeOrg = img.Org
 	c.predec, c.predecOK = isa.DecodeBlock(code)
 	c.blocks = make([]*block, len(c.predec))
+	c.runs = make([]blockRuns, len(c.predec))
 	c.heat = make([]uint64, len(c.predec))
 	c.traces = nil
 	c.liveTraces = nil
@@ -346,10 +351,10 @@ func (c *CPU) invalidateCode(addr uint32, size int) {
 	if len(c.blocks) == 0 {
 		return
 	}
-	// A compiled block caches every word it covers and is at most runBatch
-	// words long, so only leaders in the runBatch-1 words before the store
+	// A compiled block caches every word it covers and is at most maxBlock
+	// words long, so only leaders in the maxBlock-1 words before the store
 	// can reach into it.
-	loW := int(first) - (runBatch - 1)
+	loW := int(first) - (maxBlock - 1)
 	if loW < 0 {
 		loW = 0
 	}
@@ -394,9 +399,13 @@ func (c *CPU) Console() string { return c.Mem.Console() }
 // CallDepth returns the current procedure nesting depth.
 func (c *CPU) CallDepth() int { return c.callDepth }
 
-// Stats returns the execution statistics, with memory traffic synced and
-// the instruction-mix maps materialized from the hot-path counters.
+// Stats returns the execution statistics, with memory traffic synced, the
+// pending block runs folded in, and the instruction-mix maps materialized
+// from the hot-path counters.
 func (c *CPU) Stats() *stats.Stats {
+	for i := range c.runs {
+		c.foldRuns(&c.runs[i])
+	}
 	c.stat.DataReads = c.Mem.Reads
 	c.stat.DataWrites = c.Mem.Writes
 	// Every RISC I fetch is exactly one 4-byte word, so fetch traffic is
@@ -424,8 +433,12 @@ func (c *CPU) Interrupt(vector uint32) {
 
 // runBatch is how many instructions RunContext executes between checks of
 // the context: cancellation and deadlines are honored at batch boundaries,
-// so a canceled run stops within one batch of the signal.
-const runBatch = 64
+// so a canceled run stops within one batch of the signal. At 4096, the
+// check, Progress and a turbo trace's re-entry are rare costs.
+const runBatch = 4096
+
+// maxBlock caps the instructions one compiled block, or one trace, spans.
+const maxBlock = 64
 
 // Run steps the processor until it halts, faults, or exceeds MaxCycles.
 func (c *CPU) Run() error { return c.RunContext(context.Background()) }
@@ -466,9 +479,10 @@ func (c *CPU) engineTiers() (useBlocks, useTraces bool) {
 
 // runSlice executes up to budget instructions with the resolved engine
 // tiers and returns how many retired. It is the one batch body behind both
-// RunContext and the SMP scheduler's RunFor: driving it with budget =
-// runBatch reproduces a single-core run's batching exactly, which is what
-// makes a Cores=1 SMP run bit-identical to RunContext.
+// RunContext and the SMP scheduler's RunFor. Where a batch ends moves only
+// the trace tier's scheduling, never architectural state, which is what
+// makes a Cores=1 SMP run on 64-instruction quanta bit-identical to
+// RunContext.
 func (c *CPU) runSlice(budget int, useBlocks, useTraces bool) (int, error) {
 	if !useBlocks {
 		for i := 0; i < budget; i++ {

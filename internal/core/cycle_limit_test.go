@@ -15,7 +15,7 @@ const infiniteLoop = "main: b main\n nop\n"
 // budget aborts at exactly MaxCycles — not at the next multiple of the batch
 // size, which the old per-batch check allowed to overshoot by up to ~128.
 func TestMaxCyclesExactRun(t *testing.T) {
-	const limit = 100 // deliberately off the 64-step batch boundary
+	const limit = 100 // deliberately off any batch boundary
 	c := New(Config{MaxCycles: limit})
 	if err := c.Load(asm.MustAssemble(infiniteLoop)); err != nil {
 		t.Fatal(err)

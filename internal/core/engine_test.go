@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"risc1/internal/acct"
 	"risc1/internal/asm"
 	"risc1/internal/isa"
 	"risc1/internal/mem"
+	"risc1/internal/stats"
 )
 
 // The compiled engines' contract is observational equivalence with Step.
@@ -153,6 +155,21 @@ func compareEngines(t *testing.T, name string, cs, co *CPU, errS, errO error) {
 	ss, so := cs.Stats(), co.Stats()
 	if !reflect.DeepEqual(*ss, *so) {
 		t.Fatalf("stats mismatch:\nstep: %+v\n%s: %+v", *ss, name, *so)
+	}
+}
+
+// checkAcct holds a run on the core to the counter identities of
+// acct.Check; a windowed core whose traps spill one window each also owes
+// the exact cycle identity.
+func checkAcct(t *testing.T, name string, c *CPU) {
+	t.Helper()
+	if err := acct.Check(acct.Run{
+		Stats:             c.Stats(),
+		TraceInstructions: c.TraceStats().Instructions,
+		DepthHist:         true,
+		Windowed:          !c.cfg.Flat && c.cfg.SpillBatch == 1,
+	}); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 }
 
@@ -656,14 +673,20 @@ func TestInvalidEngineClamped(t *testing.T) {
 	}
 }
 
-// batchCutSrc runs a loop whose leading block is longer than most batch
-// remainders it meets, so batch cuts land at varying offsets inside it and
-// the block engine runs prefixes there. Every trip also copies one word of
-// the loop over itself, walking forward through the body: the store lands
-// in the block that is running, often inside the prefix that has already
-// run.
+// batchCutSrc spins for most of the first run batch, then runs a loop of
+// long blocks. The spin count puts the 4096-instruction cut inside a loop
+// block, two instructions before the walking store below, so the block
+// engine runs a prefix there.
+// Every trip also copies one word of the loop over itself, walking forward
+// through the body: the store lands in the block that is running, often
+// inside the prefix that has already run.
 const batchCutSrc = `
-	main:	li #buf,r1
+	main:	li #975,r3
+	spin:	sub r3,#1,r3
+		cmp r3,#0
+		bne spin
+		nop
+		li #buf,r1
 		li #body,r4
 		add r0,#0,r2
 	loop:	add r2,#1,r2
@@ -720,18 +743,23 @@ func TestEngineEquivalenceBatchCut(t *testing.T) {
 		compareEngines(t, "trace", cs, ct, errS, errT)
 		return cs
 	}
+	// The sweeps below make some 13,000 runs; a small memory keeps each
+	// one's set-up cheap.
+	base := Config{MemSize: 1 << 16}
 	none := func() *mem.FaultPlan { return nil }
-	cs := diff(Config{}, none)
+	cs := diff(base, none)
 	s := cs.Stats()
 	for limit := uint64(1); limit <= s.Cycles; limit++ {
-		diff(Config{MaxCycles: limit}, none)
+		cfg := base
+		cfg.MaxCycles = limit
+		diff(cfg, none)
 	}
 	// Every data access of the program is a word.
 	for n := uint64(1); n <= s.DataReads/4; n++ {
-		diff(Config{}, func() *mem.FaultPlan { return &mem.FaultPlan{FailNthRead: n} })
+		diff(base, func() *mem.FaultPlan { return &mem.FaultPlan{FailNthRead: n} })
 	}
 	for n := uint64(1); n <= s.DataWrites/4; n++ {
-		diff(Config{}, func() *mem.FaultPlan { return &mem.FaultPlan{FailNthWrite: n} })
+		diff(base, func() *mem.FaultPlan { return &mem.FaultPlan{FailNthWrite: n} })
 	}
 
 	// The loop must really exercise the mechanism: some block runs end at
@@ -757,5 +785,92 @@ func TestEngineEquivalenceBatchCut(t *testing.T) {
 	}
 	if cuts == 0 || selfStores == 0 {
 		t.Fatalf("block runs ending at a batch cut: %d; stopped by a store into their own block: %d", cuts, selfStores)
+	}
+}
+
+// foldSrc runs some 50,000 instructions, a dozen run batches: a recursive
+// call that spills and fills windows, a register-only loop and a loop over
+// memory, 150 times.
+const foldSrc = `
+	main:	add r0,#0,r20
+		li #buf,r21
+	outer:	add r0,#10,r10
+		callr r25,sum
+		nop
+		add r0,#0,r1
+	inner:	add r1,#1,r1
+		xor r1,r10,r11
+		cmp r1,#20
+		blt inner
+		nop
+	walk:	ldl (r21)#0,r12
+		add r12,r11,r12
+		stl r12,(r21)#0
+		sub r1,#1,r1
+		cmp r1,#0
+		bgt walk
+		nop
+		add r20,#1,r20
+		cmp r20,#150
+		blt outer
+		nop
+		ret r25,#8
+		nop
+	sum:	cmp r26,#0
+		bgt rec
+		nop
+		add r0,#0,r26
+		ret r25,#8
+		nop
+	rec:	sub r26,#1,r10
+		callr r25,sum
+		nop
+		add r26,r10,r26
+		ret r25,#8
+		nop
+		.align 4
+	buf:	.word 0
+	`
+
+// TestStatsFoldOnRead reads Stats from a Progress hook at every batch
+// boundary. The block tier counts a block's full runs and multiplies its
+// opcode mix out only when Stats reads it, so each read must fold what is
+// pending: under EngineBlock the boundaries are the step oracle's and every
+// snapshot must equal its counterpart, and under the trace tier every
+// snapshot must still satisfy the counter identities.
+func TestStatsFoldOnRead(t *testing.T) {
+	img := asm.MustAssemble(foldSrc)
+	run := func(e Engine) (*CPU, []stats.Stats) {
+		t.Helper()
+		c := New(Config{Engine: e, HotThreshold: 2})
+		if err := c.Load(img); err != nil {
+			t.Fatal(err)
+		}
+		var snaps []stats.Stats
+		c.Progress = func(uint64, uint64) {
+			snaps = append(snaps, *c.Stats())
+			checkAcct(t, e.String()+" mid-run", c)
+		}
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return c, snaps
+	}
+	_, step := run(EngineStep)
+	_, block := run(EngineBlock)
+	if len(step) < 10 {
+		t.Fatalf("%d batch boundaries, want at least 10", len(step))
+	}
+	if len(step) != len(block) {
+		t.Fatalf("step read Stats %d times, block %d", len(step), len(block))
+	}
+	for i := range step {
+		if !reflect.DeepEqual(step[i], block[i]) {
+			t.Fatalf("Stats at boundary %d:\nstep:  %+v\nblock: %+v", i, step[i], block[i])
+		}
+	}
+	c, auto := run(EngineAuto)
+	if len(auto) == 0 || c.TraceStats().Instructions == 0 {
+		t.Fatalf("trace tier: %d boundaries, %d trace instructions", len(auto), c.TraceStats().Instructions)
 	}
 }

@@ -118,7 +118,8 @@ func FuzzExec(f *testing.F) {
 // block engine and the trace tier, and the complete observable outcome —
 // PC state at three mid-run checkpoints and at the end, Stats(), console
 // output, and fault identity — must match exactly; step and block must
-// also make the same Progress calls and report the same Retire stream.
+// also make the same Progress calls and report the same Retire stream, and
+// the counters must satisfy acct.Check's identities.
 // The checkpoints come from truncating MaxCycles, which exercises the
 // batched-accounting split at arbitrary block and trace offsets. Seeds deliberately include
 // trace-hostile programs: a loop whose branch flips direction after
@@ -199,6 +200,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			compareHooks(t, ls, lb)
 			ct, _, errT := runEngine(t, cfg, EngineAuto, img, nil)
 			compareEngines(t, "trace", cs, ct, errS, errT)
+			checkAcct(t, "trace", ct)
 		}
 	})
 }

@@ -46,6 +46,35 @@ func TestRunContextPreCanceled(t *testing.T) {
 	}
 }
 
+// TestRunContextCancelAtBatch cancels the context from the first Progress
+// call: the run must stop at that batch boundary, with exactly the
+// instructions the hook saw retired. The step and block engines reach it
+// after one full batch of 4096 instructions; the trace tier may end a
+// batch early to re-enter a trace on a fresh one, never late.
+func TestRunContextCancelAtBatch(t *testing.T) {
+	for _, e := range []Engine{EngineStep, EngineBlock, EngineAuto} {
+		c := New(Config{Engine: e})
+		if err := c.Load(asm.MustAssemble(infiniteLoop)); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var seen []uint64
+		c.Progress = func(instructions, _ uint64) {
+			seen = append(seen, instructions)
+			cancel()
+		}
+		if err := c.RunContext(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: err = %v, want Canceled", e, err)
+		}
+		if len(seen) != 1 || c.Stats().Instructions != seen[0] {
+			t.Fatalf("%v: Progress saw %v, run retired %d", e, seen, c.Stats().Instructions)
+		}
+		if n := seen[0]; n == 0 || n > 4096 || e != EngineAuto && n != 4096 {
+			t.Fatalf("%v: first batch boundary at %d instructions, want 4096", e, n)
+		}
+	}
+}
+
 // TestRunErrorState checks the diagnostic payload: PC, disassembly, cycle
 // count and a register-window snapshot all describe the faulting state.
 func TestRunErrorState(t *testing.T) {

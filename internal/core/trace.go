@@ -52,6 +52,7 @@ func (c *CPU) HotThreshold() uint64 { return c.cfg.HotThreshold }
 // charging.
 type turboSeg struct {
 	w        uint32 // leader word index
+	b        *block
 	startPC  uint32
 	termPC   uint32
 	slotPC   uint32
@@ -71,7 +72,6 @@ type turboTrace struct {
 	segs       []turboSeg
 	iterInsts  int
 	iterCycles uint64
-	counts     []opCount
 	transfers  uint64
 	taken      uint64
 	slotNops   uint64
@@ -153,7 +153,7 @@ func (c *CPU) compileTrace(w uint32) *trace {
 			break
 		}
 		b := c.blockAt(cur)
-		if b == nil || b.nInst == 0 || total+b.nInst > runBatch {
+		if b == nil || b.nInst == 0 || total+b.nInst > maxBlock {
 			break
 		}
 		seen[cur] = true
@@ -260,13 +260,13 @@ func (c *CPU) heatAt(w uint32) uint64 {
 // compileTurbo builds the bulk-accounting form of a fast loop trace.
 func (c *CPU) compileTurbo(plans []segPlan) *turboTrace {
 	t := &turboTrace{}
-	var agg [128]uint32
 	simple := true
 	for _, pl := range plans {
 		b := pl.b
 		termPC := b.blockPC(b.termIdx)
 		s := turboSeg{
 			w:        pl.w,
+			b:        b,
 			startPC:  b.startPC,
 			termPC:   termPC,
 			slotPC:   termPC + 4,
@@ -310,9 +310,6 @@ func (c *CPU) compileTurbo(plans []segPlan) *turboTrace {
 		t.segs = append(t.segs, s)
 		t.iterInsts += b.nInst
 		t.iterCycles += b.fixedCycles
-		for _, oc := range b.counts {
-			agg[oc.op] += oc.n
-		}
 		t.transfers++
 		if pl.hotTaken {
 			t.taken++
@@ -321,11 +318,6 @@ func (c *CPU) compileTurbo(plans []segPlan) *turboTrace {
 			t.slotNops++
 		} else {
 			t.slotUseful++
-		}
-	}
-	for op, n := range agg {
-		if n > 0 {
-			t.counts = append(t.counts, opCount{op: uint8(op), n: n})
 		}
 	}
 	if simple {
@@ -533,12 +525,13 @@ func (c *CPU) runTurbo(tr *trace, budget int) (int, error) {
 	return consumed, nil
 }
 
-// chargeTurboIters charges k complete trace iterations in bulk.
+// chargeTurboIters charges k complete trace iterations in bulk: k more
+// full runs of each segment's block.
 func (c *CPU) chargeTurboIters(t *turboTrace, k uint64) {
 	c.stat.Instructions += k * uint64(t.iterInsts)
 	c.stat.Cycles += k * t.iterCycles
-	for _, oc := range t.counts {
-		c.opCounts[oc.op] += k * uint64(oc.n)
+	for si := range t.segs {
+		c.countRuns(t.segs[si].w, t.segs[si].b, k)
 	}
 	c.stat.Transfers += k * t.transfers
 	c.stat.TakenTransfers += k * t.taken

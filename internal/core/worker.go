@@ -22,6 +22,7 @@ func (c *CPU) NewWorker() *CPU {
 		Mem:        c.Mem,
 		Regs:       *regwin.New(c.cfg.Windows),
 		stat:       stats.New(),
+		runs:       make([]blockRuns, len(c.runs)),
 		sharedCode: c.sharedCode,
 		ie:         true,
 		halted:     true,
@@ -63,8 +64,9 @@ const workerArgReg = 26
 // RunFor executes up to budget instructions — one scheduling quantum — and
 // returns how many retired. Halting, faulting, or an engine batch boundary
 // can end the quantum early; the caller distinguishes them via Halted and
-// the error. Driving a core with RunFor(runBatch) until it halts retires
-// the exact state sequence RunContext produces.
+// the error. Driving a core with RunFor until it halts retires the
+// architectural state sequence RunContext produces, whatever the quantum;
+// only with RunFor(runBatch) does the trace tier also schedule as it does.
 func (c *CPU) RunFor(budget int) (int, error) {
 	useBlocks, useTraces := c.engineTiers()
 	n, err := c.runSlice(budget, useBlocks, useTraces)
@@ -72,18 +74,13 @@ func (c *CPU) RunFor(budget int) (int, error) {
 		return n, err
 	}
 	// A hot trace is parked at the PC but the budget cannot fit one
-	// iteration (only possible with a quantum below runBatch); single-step
-	// once so a tiny quantum still makes progress.
+	// iteration (only possible with a quantum below a trace's length);
+	// single-step once so a tiny quantum still makes progress.
 	if err := c.Step(); err != nil {
 		return 0, err
 	}
 	return 1, nil
 }
-
-// RunBatchSize is the engine's batch granularity, exported as the natural
-// SMP scheduling quantum: quanta that are multiples of it preserve the
-// single-core engines' batching exactly.
-const RunBatchSize = runBatch
 
 // Instructions returns the instructions retired so far (cheap accessor for
 // schedulers; Stats materializes the full picture).

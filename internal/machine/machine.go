@@ -48,7 +48,8 @@ type Config struct {
 	Fault *mem.FaultPlan
 	// Console receives each console rendering as the guest emits it, and
 	// Progress the retired instruction and cycle counts at run-batch
-	// boundaries (scheduling rounds on the SMP machine). Both run on the
+	// boundaries: every 4096 instructions on one core, every scheduling
+	// round of 64-instruction quanta on the SMP machine. Both run on the
 	// simulation goroutine.
 	Console  func(chunk string)
 	Progress func(instructions, cycles uint64)

@@ -258,8 +258,8 @@ func TestStreamSamplingInterval(t *testing.T) {
 			frames++
 		}
 	}
-	// The run crosses ~100k batch boundaries; only the sampling interval
-	// keeps the frame count near elapsed/interval.
+	// The run crosses hundreds of batch boundaries; only the sampling
+	// interval keeps the frame count near elapsed/interval.
 	if maxFrames := int(elapsed/interval) + 2; frames > maxFrames {
 		t.Errorf("%d stats frames in %v at a %v interval (max %d): sampling not honored",
 			frames, elapsed, interval, maxFrames)

@@ -36,6 +36,11 @@ const (
 	// page, and the experiments stop at 8.
 	MaxCores = 16
 
+	// DefaultQuantum is the default scheduling quantum in instructions.
+	// Every SMP interleaving, and so every multi-core result, is pinned
+	// to it; it is not the single-core run batch (core's 4096).
+	DefaultQuantum = 64
+
 	// DefaultWorkerStackBytes is each worker core's private data stack.
 	DefaultWorkerStackBytes = 64 << 10
 )
@@ -58,8 +63,7 @@ type Config struct {
 	// Cores is the number of cores N (1..MaxCores).
 	Cores int
 	// Quantum is the instructions each core runs per scheduling round
-	// (default core.RunBatchSize, which preserves single-core engine
-	// batching exactly).
+	// (default DefaultQuantum).
 	Quantum int
 	// WorkerStackBytes sizes each worker core's private data stack
 	// (default 64 KiB).
@@ -161,7 +165,7 @@ func New(img *asm.Image, cfg Config) (*Machine, error) {
 		return nil, ErrWindowedOnly
 	}
 	if cfg.Quantum <= 0 {
-		cfg.Quantum = core.RunBatchSize
+		cfg.Quantum = DefaultQuantum
 	}
 	if cfg.WorkerStackBytes <= 0 {
 		cfg.WorkerStackBytes = DefaultWorkerStackBytes

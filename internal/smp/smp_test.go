@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"risc1/internal/acct"
 	"risc1/internal/asm"
 	"risc1/internal/cc"
 	"risc1/internal/core"
@@ -42,6 +43,30 @@ func runKernel(t *testing.T, name string, cores int, engine core.Engine) *Machin
 		t.Fatalf("run %s on %d cores: %v", name, cores, err)
 	}
 	return m
+}
+
+// TestPerCoreCountersAddUp runs a parallel kernel on four cores and holds
+// each core's own Stats to the counter identities. Blocks are shared by the
+// cores but each core counts its own full block runs and folds their opcode
+// mix in when its Stats are read, so every core's mix must add up to its
+// own instruction count.
+func TestPerCoreCountersAddUp(t *testing.T) {
+	m := runKernel(t, "pcrunch", 4, core.EngineAuto)
+	for i := range m.Cores() {
+		c := m.Core(i)
+		s := c.Stats()
+		if s.Instructions == 0 {
+			t.Errorf("core %d retired nothing", i)
+		}
+		if err := acct.Check(acct.Run{
+			Stats:             s,
+			TraceInstructions: c.TraceStats().Instructions,
+			DepthHist:         true,
+			Windowed:          true,
+		}); err != nil {
+			t.Errorf("core %d: %v", i, err)
+		}
+	}
 }
 
 func TestParallelKernels(t *testing.T) {

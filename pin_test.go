@@ -9,10 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"risc1/internal/acct"
 	"risc1/internal/core"
 	"risc1/internal/machine"
 	"risc1/internal/prog"
-	"risc1/internal/timing"
 )
 
 // checkGolden compares got with the golden file at path. A missing golden is
@@ -129,39 +129,25 @@ func TestRunInfoPinned(t *testing.T) {
 	checkGolden(t, "testdata/runinfo.golden", b.String())
 }
 
-// checkAccounting checks the identities a run's counters satisfy on every
-// machine: the instruction mix and its categories each add up to
-// Instructions, the call-depth histogram adds up to Calls (on the RISC I
-// machines; CX keeps no histogram), trace-tier retirements are a subset of
-// Instructions, the SMP cores' retirements and data traffic add up to the
-// run's, and a single-core windowed run's cycles add up from its mix and
-// window traps (checkCycles).
+// checkAccounting holds a run to the counter identities of acct.Check (the
+// instruction mix, the depth histogram on the RISC I machines, trace-tier
+// retirements, and the exact cycle identity of a single-core windowed run),
+// and checks that the SMP cores' retirements and data traffic add up to the
+// run's.
 func checkAccounting(t *testing.T, run string, target Target, r *machine.Result) {
 	t.Helper()
 	s := r.Stats
-	var byName, byCategory, depths uint64
-	for _, n := range s.ByName {
-		byName += n
+	windowed := target == RISCWindowed && r.SMP == nil
+	if err := acct.Check(acct.Run{
+		Stats:             s,
+		TraceInstructions: r.Trace.Instructions,
+		DepthHist:         target != CISC,
+		Windowed:          windowed,
+	}); err != nil {
+		t.Errorf("%s: %v", run, err)
 	}
-	for _, n := range s.ByCategory {
-		byCategory += n
-	}
-	for _, n := range s.DepthHist {
-		depths += n
-	}
-	if byName != s.Instructions || byCategory != s.Instructions {
-		t.Errorf("%s: Σ ByName = %d, Σ ByCategory = %d, Instructions = %d",
-			run, byName, byCategory, s.Instructions)
-	}
-	if target != CISC && depths != s.Calls {
-		t.Errorf("%s: Σ DepthHist = %d, Calls = %d", run, depths, s.Calls)
-	}
-	if r.Trace.Instructions > s.Instructions {
-		t.Errorf("%s: Trace.Instructions = %d > Instructions = %d",
-			run, r.Trace.Instructions, s.Instructions)
-	}
-	if target == RISCWindowed && r.SMP == nil {
-		checkCycles(t, run, r)
+	if windowed && r.Cycles != s.Cycles {
+		t.Errorf("%s: Cycles = %d, Stats.Cycles = %d", run, r.Cycles, s.Cycles)
 	}
 	if r.SMP != nil {
 		var instructions, reads, writes uint64
@@ -174,41 +160,6 @@ func checkAccounting(t *testing.T, run string, target Target, r *machine.Result)
 			t.Errorf("%s: Σ PerCore instructions, reads, writes = %d, %d, %d; Stats %d, %d, %d",
 				run, instructions, reads, writes, s.Instructions, s.DataReads, s.DataWrites)
 		}
-	}
-}
-
-// categoryCycles is the fixed cost internal/timing sets for each
-// instruction category.
-var categoryCycles = map[string]uint64{
-	"alu":     timing.RiscALUCycles,
-	"load":    timing.RiscLoadCycles,
-	"store":   timing.RiscStoreCycles,
-	"control": timing.RiscTransferCycles,
-	"misc":    timing.RiscMiscCycles,
-}
-
-// checkCycles checks the cycle identity of a single-core windowed run,
-// exactly: Cycles is the fixed cost of every instruction by category, plus
-// the spill and fill trap costs per window overflow and underflow, plus 16
-// stores per extra window a trap spills under SpillBatch > 1. RunOptions
-// leaves SpillBatch at 1, so every trap spills one window and that last
-// term is zero here.
-func checkCycles(t *testing.T, run string, r *machine.Result) {
-	t.Helper()
-	s := r.Stats
-	var fixed uint64
-	for cat, n := range s.ByCategory {
-		cost, ok := categoryCycles[cat]
-		if !ok {
-			t.Errorf("%s: category %q has no cycle cost", run, cat)
-		}
-		fixed += n * cost
-	}
-	traps := s.WindowOverflow*timing.RiscSpillCycles + s.WindowUnderflow*timing.RiscFillCycles
-	const batchExtras = 0
-	if want := fixed + traps + batchExtras; r.Cycles != want || s.Cycles != want {
-		t.Errorf("%s: Cycles = %d (stats %d), want %d = %d by category + %d in %d spill and %d fill traps",
-			run, r.Cycles, s.Cycles, want, fixed, traps, s.WindowOverflow, s.WindowUnderflow)
 	}
 }
 
