@@ -2,9 +2,14 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"io"
+	"io/fs"
 	"net/http"
+	"os"
+	"strings"
 	"testing"
+	"time"
 )
 
 // pinSrc spawns two workers that each compute a Fibonacci number deep enough
@@ -85,3 +90,60 @@ const (
 	pinSMPRun          = `{"console":"89","instructions":4556,"cycles":3996,"sim_ns":1598400,"code_bytes":472,"calls":295,"max_call_depth":12,"window_overflows":13,"window_underflows":13,"cached":false,"smp":{"cores":2,"elapsed_cycles":3996,"contention_cycles":535,"rounds":46,"spawns":1,"spawn_fails":1,"per_core":[{"instructions":2843,"cycles":3756,"contention_cycles":240,"data_read_bytes":960,"data_write_bytes":964,"launches":1},{"instructions":1713,"cycles":2145,"contention_cycles":295,"data_read_bytes":480,"data_write_bytes":480,"launches":1}]}}` + "\n"
 	pinSMPResult       = `{"instructions":4556,"cycles":3996,"sim_ns":1598400,"code_bytes":472,"calls":295,"max_call_depth":12,"window_overflows":13,"window_underflows":13,"cached":true,"smp":{"cores":2,"elapsed_cycles":3996,"contention_cycles":535,"rounds":46,"spawns":1,"spawn_fails":1,"per_core":[{"instructions":2843,"cycles":3756,"contention_cycles":240,"data_read_bytes":960,"data_write_bytes":964,"launches":1},{"instructions":1713,"cycles":2145,"contention_cycles":295,"data_read_bytes":480,"data_write_bytes":480,"launches":1}]}}`
 )
+
+// TestMetricsPinned pins the whole /metrics exposition after a fixed request
+// sequence on a fresh server: windowed runs under auto and step, a pipelined
+// squash run, two-core runs with and without the race detector, a run that
+// faults (422), one lint and one stream. Only the latency histogram, which
+// measures wall-clock time, is masked. The stream's program runs past its
+// first run batch before printing, and the hour-long sampling interval
+// leaves that batch's frame the only stats event.
+func TestMetricsPinned(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxCores: 4, StreamInterval: time.Hour})
+	for _, c := range []struct {
+		req  RunRequest
+		want int
+	}{
+		{RunRequest{Source: pinSrc}, http.StatusOK},
+		{RunRequest{Source: pinSrc, Engine: "step"}, http.StatusOK},
+		{RunRequest{Source: pinSrc, Target: "pipelined", Policy: "squash"}, http.StatusOK},
+		{RunRequest{Source: pinSrc, Cores: 2}, http.StatusOK},
+		{RunRequest{Source: pinSrc, Cores: 2, Race: true}, http.StatusOK},
+		{RunRequest{Source: "main: stl r0,(r0)#2\n ret r25,#8\n nop\n", Lang: "asm"}, http.StatusUnprocessableEntity},
+	} {
+		if resp, raw := postJSON(t, ts.URL+"/v1/run", c.req); resp.StatusCode != c.want {
+			t.Fatalf("%+v: status %d, want %d\n%s", c.req, resp.StatusCode, c.want, raw)
+		}
+	}
+	if resp, raw := postJSON(t, ts.URL+"/v1/lint", LintRequest{Source: fibSrc}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("lint: status %d\n%s", resp.StatusCode, raw)
+	}
+	sresp := postStream(t, context.Background(), ts.URL, RunRequest{Source: pinSrc})
+	events := readAllSSE(t, sresp.Body)
+	sresp.Body.Close()
+	if last := events[len(events)-1]; last.name != "result" {
+		t.Fatalf("stream: terminal event %q, want result", last.name)
+	}
+
+	_, raw := getBody(t, ts.URL+"/metrics")
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if !strings.HasPrefix(line, "riscd_request_duration_seconds") {
+			b.WriteString(line)
+		}
+	}
+	const golden = "testdata/metrics.golden"
+	want, err := os.ReadFile(golden)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote %s; rerun to compare against it", golden)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("/metrics differs from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
