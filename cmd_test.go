@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -12,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"risc1"
 )
 
 // runTool invokes one of the repository's commands via `go run` and returns
@@ -507,4 +510,53 @@ func TestRiscdSmoke(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("riscd did not shut down within 15s of SIGINT")
 	}
+}
+
+// TestRiscrunProfilePinned pins riscrun's -profile JSON: a Cm loop on the
+// auto engine, the same loop under -engine step and on cisc (empty blocks,
+// null n-grams), and an assembly loop, which runs on a hand-built Machine
+// rather than through RunImage.
+func TestRiscrunProfilePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests compile the tools")
+	}
+	dir := t.TempDir()
+	cm := filepath.Join(dir, "loop.cm")
+	if err := os.WriteFile(cm, []byte(`
+int a[16];
+int main() {
+    int i; int s;
+    s = 0; i = 0;
+    while (i < 2000) { a[i & 15] = a[i & 15] + i; s = s + a[i & 15]; i = i + 1; }
+    putint(s);
+    return 0;
+}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := filepath.Join(dir, "loop.s")
+	if err := os.WriteFile(s, []byte(`main: add r0,#0,r1
+ add r0,#0,r2
+loop: add r2,r1,r2
+ add r1,#1,r1
+ cmp r1,#500
+ jmpr lt,loop
+ nop
+ stl r2,(r0)#-252
+ ret r25,#8
+ nop
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, args := range [][]string{
+		{"loop.cm"},
+		{"-engine", "step", "loop.cm"},
+		{"-target", "cisc", "loop.cm"},
+		{"loop.s"},
+	} {
+		fmt.Fprintf(&b, "== riscrun -profile - %s ==\n", strings.Join(args, " "))
+		args[len(args)-1] = filepath.Join(dir, args[len(args)-1])
+		b.WriteString(runTool(t, append([]string{"./cmd/riscrun", "-profile", "-"}, args...)...))
+	}
+	risc1.CheckGolden(t, "testdata/riscrun_profile.golden", b.String())
 }
