@@ -154,11 +154,6 @@ func main() {
 			fatal(err)
 		}
 		info = m.Info()
-		info.Console = m.Console()
-		if *profile != "" {
-			info.Profile = m.Profile()
-			info.NGrams = append(m.HotNGrams(2, 8), m.HotNGrams(3, 8)...)
-		}
 	} else {
 		t, err := risc1.ParseTarget(*target)
 		if err != nil {

@@ -725,9 +725,9 @@ func (c *CPU) invalidateTraces(first, last uint32) {
 // HeatEntry is one row of the execution-heat profile: a block leader, how
 // many times it dispatched, and whether it lies inside a live trace.
 type HeatEntry struct {
-	PC    uint32
-	Count uint64
-	Trace bool
+	PC    uint32 `json:"pc"`
+	Count uint64 `json:"count"`
+	Trace bool   `json:"trace"`
 }
 
 // HeatProfile returns the non-zero block-heat table sorted hottest-first
@@ -767,8 +767,8 @@ func (c *CPU) inLiveTrace(w uint32) bool {
 
 // NGram is one measured dynamic opcode n-gram.
 type NGram struct {
-	Ops   []string
-	Count uint64
+	Ops   []string `json:"ops"`
+	Count uint64   `json:"count"`
 }
 
 // HotNGrams ranks the measured dynamic opcode n-grams (n clamped to 2 or

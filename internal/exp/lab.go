@@ -119,7 +119,8 @@ func ExecuteContext(ctx context.Context, b prog.Benchmark, target cc.Target, opt
 	if err != nil {
 		return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
 	}
-	run.Stats, run.Seconds, run.Console, run.Pipeline = res.Stats, res.Seconds(), res.Console, res.Pipeline
+	// Time counts whole nanoseconds, so this is cycles × clock period exactly.
+	run.Stats, run.Seconds, run.Console, run.Pipeline = res.Stats, float64(res.Time)*1e-9, res.Console, res.Timing
 	if want := prog.Expected(b.Name); run.Console != want {
 		return nil, fmt.Errorf("%s on %v: produced %q, want %q",
 			b.Name, target, run.Console, want)

@@ -1,26 +1,44 @@
 package machine
 
 import (
-	"math"
+	"context"
 	"testing"
 	"time"
 
-	"risc1/internal/timing"
+	"risc1/internal/cc"
+	"risc1/internal/cisc"
 )
 
+// TestClockConversions checks that Run reports Time at each machine's
+// clock: 400 ns a RISC I cycle, 200 ns a CX microcycle.
 func TestClockConversions(t *testing.T) {
+	const src = "int main() { putint(6 * 7); return 0; }"
+	risc, _, err := cc.BuildRISC(src, cc.Options{Target: cc.RISCWindowed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cc.Compile(src, cc.Options{Target: cc.CISC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cx, err := cisc.Assemble(res.Asm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		r    Result
-		want time.Duration
+		target cc.Target
+		img    Image
+		period time.Duration
 	}{
-		{Result{Cycles: 1, cycleNS: timing.RiscCycleNS}, 400 * time.Nanosecond},
-		{Result{Cycles: 5, cycleNS: timing.CXMicrocycleNS}, time.Microsecond},
+		{cc.RISCWindowed, Image{RISC: risc}, 400 * time.Nanosecond},
+		{cc.CISC, Image{CX: cx}, 200 * time.Nanosecond},
 	} {
-		if got := tc.r.Time(); got != tc.want {
-			t.Errorf("%d cycles of %d ns: Time() = %v, want %v", tc.r.Cycles, tc.r.cycleNS, got, tc.want)
+		r, err := Run(context.Background(), tc.img, Config{Target: tc.target})
+		if err != nil {
+			t.Fatalf("%v: %v", tc.target, err)
 		}
-		if got := tc.r.Seconds(); math.Abs(got-tc.want.Seconds()) > 1e-15 {
-			t.Errorf("%d cycles of %d ns: Seconds() = %g, want %g", tc.r.Cycles, tc.r.cycleNS, got, tc.want.Seconds())
+		if r.Cycles == 0 || r.Time != time.Duration(r.Cycles)*tc.period {
+			t.Errorf("%v: %d cycles, Time = %v, want %v a cycle", tc.target, r.Cycles, r.Time, tc.period)
 		}
 	}
 }

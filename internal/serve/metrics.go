@@ -148,61 +148,34 @@ func (m *metrics) addRun(engine string) {
 	m.mu.Unlock()
 }
 
-// addSimInstructions accumulates simulated work done on behalf of requests.
-func (m *metrics) addSimInstructions(n uint64) {
+// addReport accumulates one successful run's report: its simulated
+// instructions, trace-tier activity, pipeline counters on the pipelined
+// target, machine counters on a multi-core run, and, when the request asked
+// for the detector (race), the races it found.
+func (m *metrics) addReport(info *risc1.RunInfo, race bool) {
 	m.mu.Lock()
-	m.simInstrs += n
-	m.mu.Unlock()
-}
-
-// addTraceStats accumulates one run's trace-tier activity.
-func (m *metrics) addTraceStats(info *risc1.RunInfo) {
-	if info.TracesCompiled == 0 && info.TraceSideExits == 0 && info.TraceInvalidations == 0 {
-		return
-	}
-	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.simInstrs += info.Instructions
 	m.traceCompiled += info.TracesCompiled
 	m.traceSideExits += info.TraceSideExits
 	m.traceInvalidations += info.TraceInvalidations
-	m.mu.Unlock()
-}
-
-// addPipelineStats accumulates one pipelined-target run's cycle-accurate
-// counters. A nil info (any other target) is a no-op.
-func (m *metrics) addPipelineStats(p *risc1.PipelineInfo) {
-	if p == nil {
-		return
+	if p := info.Pipeline; p != nil {
+		m.pipelineRuns[p.Policy]++
+		m.pipeLoadUse += p.LoadUseStallCycles
+		m.pipeWindow += p.WindowStallCycles
+		m.pipeMemPort += p.MemPortStallCycles
+		m.pipeFlush += p.FlushBubbleCycles
+		m.pipeCycles += p.Cycles
 	}
-	m.mu.Lock()
-	m.pipelineRuns[p.Policy]++
-	m.pipeLoadUse += p.LoadUseStallCycles
-	m.pipeWindow += p.WindowStallCycles
-	m.pipeMemPort += p.MemPortStallCycles
-	m.pipeFlush += p.FlushBubbleCycles
-	m.pipeCycles += p.Cycles
-	m.mu.Unlock()
-}
-
-// addSMPStats accumulates one multi-core run's machine counters. A nil info
-// (a single-core run) is a no-op.
-func (m *metrics) addSMPStats(si *risc1.SMPInfo) {
-	if si == nil {
-		return
+	if si := info.SMP; si != nil {
+		m.smpRuns++
+		m.smpCores += uint64(si.Cores)
+		m.smpContention += si.ContentionCycles
 	}
-	m.mu.Lock()
-	m.smpRuns++
-	m.smpCores += uint64(si.Cores)
-	m.smpContention += si.ContentionCycles
-	m.mu.Unlock()
-}
-
-// addRaceStats counts one race-detector run and its findings. Call it only
-// for runs that requested the detector.
-func (m *metrics) addRaceStats(races int) {
-	m.mu.Lock()
-	m.raceRuns++
-	m.raceFound += uint64(races)
-	m.mu.Unlock()
+	if race {
+		m.raceRuns++
+		m.raceFound += uint64(len(info.Races))
+	}
 }
 
 // gauges are sampled at render time so /metrics always reflects the live

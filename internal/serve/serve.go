@@ -437,17 +437,6 @@ func (s *Server) runOptions(p runParams) risc1.RunOptions {
 	}
 }
 
-// recordRunInfo feeds one successful run's counters into /metrics.
-func (s *Server) recordRunInfo(p runParams, info *risc1.RunInfo) {
-	s.met.addSimInstructions(info.Instructions)
-	s.met.addTraceStats(info)
-	s.met.addPipelineStats(info.Pipeline)
-	s.met.addSMPStats(info.SMP)
-	if p.req.Race {
-		s.met.addRaceStats(len(info.Races))
-	}
-}
-
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	p, ok := s.parseRun(w, r)
 	if !ok {
@@ -477,7 +466,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, body)
 		return
 	}
-	s.recordRunInfo(p, info)
+	s.met.addReport(info, p.req.Race)
 	writeJSON(w, http.StatusOK, RunResponse{Console: info.Console, StreamResult: runResult(info, hit)})
 }
 

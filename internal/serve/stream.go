@@ -132,7 +132,7 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 			send(streamEvent{"error", body.Error})
 			return
 		}
-		s.recordRunInfo(p, info)
+		s.met.addReport(info, p.req.Race)
 		send(streamEvent{"result", runResult(info, hit)})
 	}()
 

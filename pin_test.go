@@ -82,10 +82,11 @@ func TestRunInfoPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		r, info, err := runImage(context.Background(), img, c.opt)
+		r, err := runImage(context.Background(), img, c.opt)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", k.Name, c.name, err)
 		}
+		info := &r.Info
 		checkAccounting(t, k.Name+" on "+c.name, c.target, r)
 		fmt.Fprintf(&b, "%s %s console=%q truncated=%v instr=%d cycles=%d time=%v code_bytes=%d\n",
 			k.Name, c.name, info.Console, info.ConsoleTruncated, info.Instructions,
@@ -140,7 +141,7 @@ func checkAccounting(t *testing.T, run string, target Target, r *machine.Result)
 	windowed := target == RISCWindowed && r.SMP == nil
 	if err := acct.Check(acct.Run{
 		Stats:             s,
-		TraceInstructions: r.Trace.Instructions,
+		TraceInstructions: r.TraceInstructions,
 		DepthHist:         target != CISC,
 		Windowed:          windowed,
 	}); err != nil {
