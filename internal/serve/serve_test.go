@@ -1056,6 +1056,32 @@ func TestRunRace(t *testing.T) {
 	}
 }
 
+// TestRunRaceOneCore checks that a race run without cores, which rides the
+// shared-memory machine on one core, reports no smp object and moves the
+// race counters but not the multi-core ones.
+func TestRunRaceOneCore(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, raw := postJSON(t, ts.URL+"/v1/run", RunRequest{Source: parSrc, Race: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if strings.Contains(string(raw), `"smp"`) {
+		t.Errorf("one-core race run reports an smp object: %s", raw)
+	}
+	_, raw = getBody(t, ts.URL+"/metrics")
+	text := string(raw)
+	for name, want := range map[string]float64{
+		"riscd_race_runs_total":             1,
+		"riscd_smp_runs_total":              0,
+		"riscd_smp_cores_total":             0,
+		"riscd_smp_contention_cycles_total": 0,
+	} {
+		if got := metricValue(t, text, name); got != want {
+			t.Errorf("%s = %g, want %g", name, got, want)
+		}
+	}
+}
+
 // TestLintSMPTarget checks /v1/lint's "smp" target: the concurrency passes
 // run forced on windowed code, flag the racy program, and stay quiet on the
 // lock-disciplined one.
