@@ -29,9 +29,9 @@ import (
 // deterministic interleaving happened to dodge the bad outcome.
 //
 // The detector runs with the step engine forced (Config.Race does this), so
-// every access is attributed to the exact program counter executing it; the
-// engines are observationally identical per instruction retired, so forcing
-// step changes nothing about the interleaving being checked.
+// every access is attributed to the exact program counter executing it. The
+// interleaving checked is the step engine's, which can differ from the trace
+// tier's on more than one core (see the package doc).
 
 // RaceAccess is one side of a reported race.
 type RaceAccess struct {

@@ -2,12 +2,17 @@
 // windowed cores executing one program image against a single mem image,
 // scheduled round-robin in fixed instruction quanta on one goroutine.
 //
-// Determinism is the organizing principle. The engines (step, block, trace)
-// are observationally identical per instruction retired, so slicing each
-// core's execution into quanta and interleaving the slices yields one
-// canonical global instruction order — the same order every run, under every
-// engine tier. Atomicity of the test-and-set lock page (mem.LockBase) falls
-// out of the same property: cores never interleave mid-instruction.
+// Determinism is the organizing principle. Slicing each core's execution
+// into quanta and interleaving the slices round-robin yields one global
+// instruction order, the same on every run under one engine tier. It is not
+// the same across tiers: under the trace tier a quantum ends early where a
+// compiled trace is headed but cannot fit an iteration in what is left of
+// it (runSlice's early batch end), so the step engine switches cores at
+// other points. Correct programs, which synchronize through the lock page
+// and join, print the same results under every tier; their instruction and
+// cycle counts may differ. Atomicity of the test-and-set lock page
+// (mem.LockBase) falls out of the slicing: cores never interleave
+// mid-instruction.
 //
 // The interconnect cost model is deliberately simple, in the spirit of the
 // paper's memory-traffic accounting (E5): every core has a private
@@ -75,8 +80,8 @@ type Config struct {
 	Core core.Config
 	// Race enables the dynamic race detector (see racedet.go). It forces
 	// the step engine so every access is attributed to its exact PC; the
-	// engines are observationally identical per instruction retired, so
-	// the interleaving being checked is unchanged.
+	// interleaving checked is therefore the step engine's, which can
+	// differ from the one Core.Engine would run (see the package doc).
 	Race bool
 }
 
