@@ -76,14 +76,9 @@ type turboTrace struct {
 	taken      uint64
 	slotNops   uint64
 	slotUseful uint64
-	// runSimple is the fully-fused loop runner of a fault-free,
-	// store-free trace: it executes up to k iterations with no PC
-	// maintenance and no guards beyond the branch directions (nothing
-	// mid-iteration can fault, store, or observe the PC pair), returning
-	// how many iterations completed and the segment whose branch left
-	// the trace (-1 when all k stayed on it). The PC pair is
-	// reconstructed only at exit.
-	runSimple func(c *CPU, k int) (int, int)
+	// simple marks a fault-free, store-free trace, which runSimple runs
+	// with the PC pair reconstructed only at exit.
+	simple bool
 }
 
 // chainSeg is one planned block of a chain trace.
@@ -320,88 +315,34 @@ func (c *CPU) compileTurbo(plans []segPlan) *turboTrace {
 			t.slotUseful++
 		}
 	}
-	if simple {
-		t.runSimple = compileSimple(t.segs)
-	}
+	t.simple = simple
 	return t
 }
 
-// compileSimple fuses a fault-free trace into a loop runner: the
-// iteration loop itself lives inside the closure, so the hot path pays
-// only the compiled bodies and one direction check per segment.
-func compileSimple(segs []turboSeg) func(*CPU, int) (int, int) {
-	fns := make([]func(*CPU) bool, len(segs))
-	for i := range segs {
-		fns[i] = compileSimpleSeg(&segs[i])
-	}
-	return func(c *CPU, k int) (int, int) {
-		for j := 0; j < k; j++ {
-			for i := range fns {
-				if !fns[i](c) {
-					return j, i
-				}
+// runSimple runs up to k iterations of a simple trace: each segment's body
+// ops, its branch and its slot, with one direction check per segment and
+// no PC maintenance (nothing mid-iteration can fault, store, or observe
+// the PC pair). It returns how many iterations completed and the segment
+// whose branch left the trace (-1 when all k stayed on it). The slot runs
+// after the branch decides and before the guard reads it, like everywhere
+// else.
+func (c *CPU) runSimple(t *turboTrace, k int) (int, int) {
+	for j := 0; j < k; j++ {
+		for i := range t.segs {
+			s := &t.segs[i]
+			for _, op := range s.ops {
+				_ = op.fn(c)
 			}
-		}
-		return k, -1
-	}
-}
-
-// compileSimpleSeg builds one segment's fused iteration step, reporting
-// whether execution stayed on the trace. The slot runs after the branch
-// decides and before the guard reports it, like everywhere else.
-func compileSimpleSeg(s *turboSeg) func(*CPU) bool {
-	term, hot := s.term, s.hotTaken
-	body := composeOps(s.ops)
-	switch slot := s.slotFn; {
-	case body == nil && slot == nil:
-		return func(c *CPU) bool {
-			_, taken := term(c)
-			return taken == hot
-		}
-	case body == nil:
-		return func(c *CPU) bool {
-			_, taken := term(c)
-			_ = slot(c)
-			return taken == hot
-		}
-	case slot == nil:
-		return func(c *CPU) bool {
-			body(c)
-			_, taken := term(c)
-			return taken == hot
-		}
-	default:
-		return func(c *CPU) bool {
-			body(c)
-			_, taken := term(c)
-			_ = slot(c)
-			return taken == hot
-		}
-	}
-}
-
-// composeOps flattens a fault-free op run into one call (nil when empty).
-func composeOps(ops []blockOp) func(*CPU) {
-	switch len(ops) {
-	case 0:
-		return nil
-	case 1:
-		f0 := ops[0].fn
-		return func(c *CPU) { _ = f0(c) }
-	case 2:
-		f0, f1 := ops[0].fn, ops[1].fn
-		return func(c *CPU) { _ = f0(c); _ = f1(c) }
-	default:
-		fns := make([]func(*CPU) error, len(ops))
-		for i := range ops {
-			fns[i] = ops[i].fn
-		}
-		return func(c *CPU) {
-			for i := range fns {
-				_ = fns[i](c)
+			_, taken := s.term(c)
+			if s.slotFn != nil {
+				_ = s.slotFn(c)
+			}
+			if taken != s.hotTaken {
+				return j, i
 			}
 		}
 	}
+	return k, -1
 }
 
 // runHotTrace dispatches the trace headed at the current PC, if one
@@ -453,11 +394,11 @@ func (c *CPU) runTurbo(tr *trace, budget int) (int, error) {
 	if uint64(k) > kc {
 		k = int(kc)
 	}
-	if t.runSimple != nil {
+	if t.simple {
 		// Fault-free, store-free loop: nothing mid-iteration can trap,
 		// write code, or observe the PC pair, so the machine state is
 		// settled once at exit.
-		j, si := t.runSimple(c, k)
+		j, si := c.runSimple(t, k)
 		if si >= 0 {
 			s := &t.segs[si]
 			c.lastPC = s.slotPC
