@@ -141,7 +141,11 @@ func (m *metrics) addLintFindings(diags []risc1.Diagnostic) {
 	}
 }
 
-// addRun counts one /v1/run simulation by the engine it executed under.
+// addRun counts one /v1/run or /v1/run/stream simulation, faulted or not,
+// under the engine the request named. That is not always the engine that
+// ran: a pipelined run uses the block engine, a CISC run its own
+// interpreter and a race run the step engine, and each counts under auto
+// when the request named none.
 func (m *metrics) addRun(engine string) {
 	m.mu.Lock()
 	m.runs[engine]++
@@ -259,7 +263,7 @@ func (m *metrics) render(g gauges) string {
 		fmt.Fprintf(&b, "riscd_stream_events_total{type=%q} %d\n", k, m.streamEvents[k])
 	}
 
-	b.WriteString("# HELP riscd_runs_total Simulations executed for /v1/run, by execution engine.\n")
+	b.WriteString("# HELP riscd_runs_total Simulations run for /v1/run and /v1/run/stream, by the engine the request named, not the one that ran.\n")
 	b.WriteString("# TYPE riscd_runs_total counter\n")
 	engines := make([]string, 0, len(m.runs))
 	for e := range m.runs {
