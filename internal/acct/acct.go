@@ -20,8 +20,8 @@ type Run struct {
 	// DepthHist marks a machine that keeps the call-depth histogram: the
 	// RISC I cores do, CX does not.
 	DepthHist bool
-	// Windowed marks a single-core run of the windowed RISC I whose window
-	// traps spill one window each, so its cycles add up exactly.
+	// Windowed marks a single-core run of the windowed RISC I, whose cycles
+	// add up exactly.
 	Windowed bool
 }
 
@@ -40,7 +40,8 @@ var categoryCycles = map[string]uint64{
 //   - Σ DepthHist = Calls, on a machine that keeps the histogram;
 //   - the trace tier's instructions are at most Instructions;
 //   - on a windowed run, Cycles is the fixed cost of every instruction by
-//     category plus the spill and fill costs of its window traps.
+//     category plus the spill and fill costs of its window traps and the
+//     cost of the windows its overflow traps spilled beyond the first.
 func Check(r Run) error {
 	s := r.Stats
 	var errs []error
@@ -74,10 +75,11 @@ func Check(r Run) error {
 			}
 			fixed += n * cost
 		}
-		traps := s.WindowOverflow*timing.RiscSpillCycles + s.WindowUnderflow*timing.RiscFillCycles
+		traps := s.WindowOverflow*timing.RiscSpillCycles + s.WindowUnderflow*timing.RiscFillCycles +
+			s.WindowBatchSpills*timing.RiscBatchSpillCycles
 		if s.Cycles != fixed+traps {
-			errs = append(errs, fmt.Errorf("Cycles = %d, want %d = %d by category + %d in %d spill and %d fill traps",
-				s.Cycles, fixed+traps, fixed, traps, s.WindowOverflow, s.WindowUnderflow))
+			errs = append(errs, fmt.Errorf("Cycles = %d, want %d = %d by category + %d in %d spill and %d fill traps and %d batch spills",
+				s.Cycles, fixed+traps, fixed, traps, s.WindowOverflow, s.WindowUnderflow, s.WindowBatchSpills))
 		}
 	}
 	return errors.Join(errs...)

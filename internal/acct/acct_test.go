@@ -9,7 +9,8 @@ import (
 )
 
 // sample is a windowed run that satisfies every identity: two ALU
-// instructions and a call that took a spill trap.
+// instructions and a call that took a spill trap, which spilled a second
+// window.
 func sample() Run {
 	s := stats.New()
 	s.Instructions = 3
@@ -18,7 +19,9 @@ func sample() Run {
 	s.Calls = 1
 	s.DepthHist[1] = 1
 	s.WindowOverflow = 1
-	s.Cycles = 2*timing.RiscALUCycles + timing.RiscTransferCycles + timing.RiscSpillCycles
+	s.WindowBatchSpills = 1
+	s.Cycles = 2*timing.RiscALUCycles + timing.RiscTransferCycles + timing.RiscSpillCycles +
+		timing.RiscBatchSpillCycles
 	return Run{Stats: s, TraceInstructions: 2, DepthHist: true, Windowed: true}
 }
 
@@ -37,6 +40,7 @@ func TestCheck(t *testing.T) {
 		{"depth histogram", "Σ DepthHist", func(r *Run) { r.Stats.Calls++ }},
 		{"trace", "trace instructions", func(r *Run) { r.TraceInstructions = 4 }},
 		{"cycles", "Cycles", func(r *Run) { r.Stats.Cycles++ }},
+		{"batch spills", "batch spills", func(r *Run) { r.Stats.WindowBatchSpills++ }},
 		{"category cost", "no cycle cost", func(r *Run) { r.Stats.ByCategory["bogus"] = 0 }},
 	} {
 		r := sample()

@@ -852,7 +852,8 @@ func (c *CPU) enterWindow() error {
 				if c.Regs.Spilled() >= c.Regs.CWP() {
 					break // nothing older left to spill
 				}
-				c.stat.Cycles += 16 * timing.RiscStoreCycles
+				c.stat.Cycles += timing.RiscBatchSpillCycles
+				c.stat.WindowBatchSpills++
 			}
 			if c.savePtr-regwin.SaveBytes < c.saveBase {
 				return ErrSaveStackFull

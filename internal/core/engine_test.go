@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -159,15 +160,14 @@ func compareEngines(t *testing.T, name string, cs, co *CPU, errS, errO error) {
 }
 
 // checkAcct holds a run on the core to the counter identities of
-// acct.Check; a windowed core whose traps spill one window each also owes
-// the exact cycle identity.
+// acct.Check; a windowed core also owes the exact cycle identity.
 func checkAcct(t *testing.T, name string, c *CPU) {
 	t.Helper()
 	if err := acct.Check(acct.Run{
 		Stats:             c.Stats(),
 		TraceInstructions: c.TraceStats().Instructions,
 		DepthHist:         true,
-		Windowed:          !c.cfg.Flat && c.cfg.SpillBatch == 1,
+		Windowed:          !c.cfg.Flat,
 	}); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -281,10 +281,21 @@ func TestEngineEquivalenceLoop(t *testing.T) {
 	}
 }
 
+// TestEngineEquivalenceCallsAndSpills runs the recursion at every spill
+// batch; the windows a trap spills beyond the first have their own
+// counter, so every batch owes the exact cycle identity.
 func TestEngineEquivalenceCallsAndSpills(t *testing.T) {
-	cs, _ := diffEngines(t, Config{}, recurseSrc)
-	if s := cs.Stats(); s.WindowOverflow == 0 || s.WindowUnderflow == 0 {
-		t.Fatalf("recursion did not exercise spills: %+v", s)
+	for batch := 1; batch <= 4; batch++ {
+		cs, cb := diffEngines(t, Config{SpillBatch: batch}, recurseSrc)
+		s := cs.Stats()
+		if s.WindowOverflow == 0 || s.WindowUnderflow == 0 {
+			t.Fatalf("batch %d: recursion did not exercise spills: %+v", batch, s)
+		}
+		if (s.WindowBatchSpills > 0) != (batch > 1) {
+			t.Errorf("batch %d: %d batch spills", batch, s.WindowBatchSpills)
+		}
+		checkAcct(t, fmt.Sprintf("step, batch %d", batch), cs)
+		checkAcct(t, fmt.Sprintf("block, batch %d", batch), cb)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"risc1/internal/acct"
 	"risc1/internal/cc"
 	"risc1/internal/prog"
 )
@@ -185,6 +186,25 @@ func TestE6TrapRateFallsWithWindows(t *testing.T) {
 	}
 	// Every trap count at N = 3..16 and every spill batch is pinned.
 	checkGolden(t, "e6", res.Table.Render())
+}
+
+// TestE6bCyclesAddUp holds E6b's acker runs, at every spill batch, to the
+// counter identities, the exact cycle identity of a windowed run included:
+// the windows a trap spills beyond the first have their own counter.
+func TestE6bCyclesAddUp(t *testing.T) {
+	acker, _ := prog.ByName("acker")
+	for batch := 1; batch <= 4; batch++ {
+		r, err := sharedLab.Run(acker, cc.RISCWindowed, Options{SpillBatch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (r.Stats.WindowBatchSpills > 0) != (batch > 1) {
+			t.Errorf("batch %d: %d batch spills", batch, r.Stats.WindowBatchSpills)
+		}
+		if err := acct.Check(acct.Run{Stats: r.Stats, DepthHist: true, Windowed: true}); err != nil {
+			t.Errorf("acker at batch %d: %v", batch, err)
+		}
+	}
 }
 
 func TestE7OptimizerSavesCycles(t *testing.T) {

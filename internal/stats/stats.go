@@ -33,6 +33,9 @@ type Stats struct {
 	MaxCallDepth    int
 	WindowOverflow  uint64 // register-window spill traps
 	WindowUnderflow uint64 // register-window fill traps
+	// WindowBatchSpills counts the windows overflow traps spilled beyond
+	// the first, under a spill batch above one.
+	WindowBatchSpills uint64
 	// DepthHist[d] counts calls entered at nesting depth d (clamped to
 	// the last bucket): the call-depth distribution behind the paper's
 	// register-window sizing argument.
@@ -109,6 +112,7 @@ func (s *Stats) Add(o *Stats) {
 	}
 	s.WindowOverflow += o.WindowOverflow
 	s.WindowUnderflow += o.WindowUnderflow
+	s.WindowBatchSpills += o.WindowBatchSpills
 	for i := range o.DepthHist {
 		s.DepthHist[i] += o.DepthHist[i]
 	}

@@ -31,4 +31,8 @@ const (
 const (
 	RiscSpillCycles = 8 + 16*RiscStoreCycles // 40
 	RiscFillCycles  = 8 + 16*RiscLoadCycles  // 40
+	// RiscBatchSpillCycles is what each window a trap spills beyond the
+	// first costs (core.Config.SpillBatch > 1): the stores alone, since
+	// the trap entry and exit are already paid.
+	RiscBatchSpillCycles = 16 * RiscStoreCycles // 32
 )
