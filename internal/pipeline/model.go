@@ -44,7 +44,9 @@
 //
 // Register-window overflow and underflow raise the spill/fill trap of the
 // single-cycle model; the pipeline drains while the handler runs, charged
-// at timing.RiscSpillCycles / RiscFillCycles per event.
+// at timing.RiscSpillCycles / RiscFillCycles per event, plus
+// timing.RiscBatchSpillCycles for each window an overflow trap spills
+// beyond the first.
 package pipeline
 
 import (
@@ -291,7 +293,7 @@ type Machine struct {
 	cwp int
 
 	// Window trap counters at the end of the last run.
-	lastOvf, lastUnf uint64
+	lastOvf, lastUnf, lastBatch uint64
 
 	memoState
 }
@@ -350,7 +352,7 @@ func (m *Machine) resetTiming() {
 	m.nbusy = 0
 	m.tail = [3]tailRec{}
 	m.slotPending, m.slotTaken = false, false
-	m.lastOvf, m.lastUnf = 0, 0
+	m.lastOvf, m.lastUnf, m.lastBatch = 0, 0, 0
 	m.rebase(m.cpu.Regs.CWP())
 	m.resetMemo()
 }
