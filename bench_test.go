@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"risc1"
-	"risc1/internal/core"
 	"risc1/internal/exp"
 	"risc1/internal/prog"
 )
@@ -218,7 +217,7 @@ func BenchmarkSuiteRun(b *testing.B) {
 }
 
 // BenchmarkSuiteEngines runs the 13 suite kernels on the windowed machine
-// through RunImage under each engine tier, so the tiers can be ranked on the
+// through RunImage under each engine, so the engines can be ranked on the
 // suite rather than on one hot loop. Images are compiled, and checked once
 // against their expected consoles under every engine, before the timer
 // starts. ns/sim-instr divides the wall time by the instructions retired.
@@ -231,13 +230,8 @@ func BenchmarkSuiteEngines(b *testing.B) {
 		}
 		imgs = append(imgs, img)
 	}
-	// The sub-benchmarks are named after the tier each engine tops out at;
-	// CI's engine perf guard reads step, block and trace.
-	for _, tier := range []struct {
-		name string
-		e    risc1.Engine
-	}{{"step", risc1.EngineStep}, {"block", core.EngineBlock}, {"trace", risc1.EngineAuto}} {
-		e := tier.e
+	// CI's engine perf guard reads the step and auto sub-benchmarks.
+	for _, e := range []risc1.Engine{risc1.EngineStep, risc1.EngineAuto} {
 		opt := risc1.RunOptions{Engine: e}
 		for i, k := range prog.All() {
 			info, err := risc1.RunImage(context.Background(), imgs[i], opt)
@@ -248,7 +242,7 @@ func BenchmarkSuiteEngines(b *testing.B) {
 				b.Fatalf("%s on %v: console %q, want %q", k.Name, e, info.Console, want)
 			}
 		}
-		b.Run(tier.name, func(b *testing.B) {
+		b.Run(e.String(), func(b *testing.B) {
 			var instrs uint64
 			for i := 0; i < b.N; i++ {
 				for _, img := range imgs {

@@ -18,10 +18,9 @@
 // policy (the paper's delayed jumps, or predict-not-taken squash hardware).
 //
 // -profile dumps the run's execution-heat profile — block leaders with
-// their dispatch counts and trace membership, plus the measured dynamic
-// opcode n-grams and the trace tier's counters — as JSON to the given
-// file ("-" for stdout). Heat is collected by the auto engine's trace tier;
-// under -engine step the profile is empty.
+// their dispatch counts, plus the measured dynamic opcode n-grams — as JSON
+// to the given file ("-" for stdout). Heat is counted by the auto engine's
+// block dispatches; under -engine step the profile is empty.
 //
 // -cpuprofile writes a host CPU profile of riscrun itself (compile and run)
 // to the given file, for go tool pprof.
@@ -41,28 +40,18 @@ import (
 
 // profileDump is the JSON shape behind -profile.
 type profileDump struct {
-	Schema             string               `json:"schema"`
-	Engine             string               `json:"engine"`
-	TracesCompiled     uint64               `json:"traces_compiled"`
-	TraceSideExits     uint64               `json:"trace_side_exits"`
-	TraceInvalidations uint64               `json:"trace_invalidations"`
-	TraceInstructions  uint64               `json:"trace_instructions"`
-	HotBlocks          int                  `json:"hot_blocks"`
-	Blocks             []risc1.BlockProfile `json:"blocks"`
-	NGrams             []risc1.NGramCount   `json:"ngrams"`
+	Schema string               `json:"schema"`
+	Engine string               `json:"engine"`
+	Blocks []risc1.BlockProfile `json:"blocks"`
+	NGrams []risc1.NGramCount   `json:"ngrams"`
 }
 
 func writeProfile(path string, engine risc1.Engine, info *risc1.RunInfo) error {
 	dump := profileDump{
-		Schema:             "risc1-profile/1",
-		Engine:             engine.String(),
-		TracesCompiled:     info.TracesCompiled,
-		TraceSideExits:     info.TraceSideExits,
-		TraceInvalidations: info.TraceInvalidations,
-		TraceInstructions:  info.TraceInstructions,
-		HotBlocks:          info.HotBlocks,
-		Blocks:             info.Profile,
-		NGrams:             info.NGrams,
+		Schema: "risc1-profile/2",
+		Engine: engine.String(),
+		Blocks: info.Profile,
+		NGrams: info.NGrams,
 	}
 	out, err := json.MarshalIndent(dump, "", "  ")
 	if err != nil {

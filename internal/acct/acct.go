@@ -1,6 +1,6 @@
 // Package acct checks the identities a run's counters satisfy. The engine
 // differentials and the pinned suite runs both hold their runs to them, so
-// a counter that one engine tier or one machine forgets fails in both.
+// a counter that one engine or one machine forgets fails in both.
 package acct
 
 import (
@@ -14,9 +14,6 @@ import (
 // Run is what Check reads of one run.
 type Run struct {
 	Stats *stats.Stats
-	// TraceInstructions is how many of the instructions the trace tier
-	// retired.
-	TraceInstructions uint64
 	// DepthHist marks a machine that keeps the call-depth histogram: the
 	// RISC I cores do, CX does not.
 	DepthHist bool
@@ -38,7 +35,6 @@ var categoryCycles = map[string]uint64{
 // Check returns every identity r breaks, joined, or nil:
 //   - Σ ByName = Σ ByCategory = Instructions;
 //   - Σ DepthHist = Calls, on a machine that keeps the histogram;
-//   - the trace tier's instructions are at most Instructions;
 //   - on a windowed run, Cycles is the fixed cost of every instruction by
 //     category plus the spill and fill costs of its window traps and the
 //     cost of the windows its overflow traps spilled beyond the first.
@@ -62,10 +58,6 @@ func Check(r Run) error {
 	if r.DepthHist && depths != s.Calls {
 		errs = append(errs, fmt.Errorf("Σ DepthHist = %d, Calls = %d", depths, s.Calls))
 	}
-	if r.TraceInstructions > s.Instructions {
-		errs = append(errs, fmt.Errorf("trace instructions = %d > Instructions = %d",
-			r.TraceInstructions, s.Instructions))
-	}
 	if r.Windowed {
 		var fixed uint64
 		for cat, n := range s.ByCategory {
@@ -75,8 +67,7 @@ func Check(r Run) error {
 			}
 			fixed += n * cost
 		}
-		traps := s.WindowOverflow*timing.RiscSpillCycles + s.WindowUnderflow*timing.RiscFillCycles +
-			s.WindowBatchSpills*timing.RiscBatchSpillCycles
+		traps := timing.TrapCycles(s.WindowOverflow, s.WindowUnderflow, s.WindowBatchSpills)
 		if s.Cycles != fixed+traps {
 			errs = append(errs, fmt.Errorf("Cycles = %d, want %d = %d by category + %d in %d spill and %d fill traps and %d batch spills",
 				s.Cycles, fixed+traps, fixed, traps, s.WindowOverflow, s.WindowUnderflow, s.WindowBatchSpills))

@@ -22,7 +22,7 @@ func sample() Run {
 	s.WindowBatchSpills = 1
 	s.Cycles = 2*timing.RiscALUCycles + timing.RiscTransferCycles + timing.RiscSpillCycles +
 		timing.RiscBatchSpillCycles
-	return Run{Stats: s, TraceInstructions: 2, DepthHist: true, Windowed: true}
+	return Run{Stats: s, DepthHist: true, Windowed: true}
 }
 
 // TestCheck requires a consistent run to pass and each broken identity to
@@ -38,7 +38,6 @@ func TestCheck(t *testing.T) {
 		{"mix", "Σ ByName", func(r *Run) { r.Stats.ByName["add"]++ }},
 		{"categories", "Σ ByCategory", func(r *Run) { r.Stats.ByCategory["alu"]-- }},
 		{"depth histogram", "Σ DepthHist", func(r *Run) { r.Stats.Calls++ }},
-		{"trace", "trace instructions", func(r *Run) { r.TraceInstructions = 4 }},
 		{"cycles", "Cycles", func(r *Run) { r.Stats.Cycles++ }},
 		{"batch spills", "batch spills", func(r *Run) { r.Stats.WindowBatchSpills++ }},
 		{"category cost", "no cycle cost", func(r *Run) { r.Stats.ByCategory["bogus"] = 0 }},

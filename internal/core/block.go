@@ -117,10 +117,10 @@ func categoryCycles(cat isa.Category) uint8 {
 // pending, the PC outside the predecoded range, or MaxCycles close enough
 // that the run could overrun it. It also returns how many instructions k
 // of the block to run. That is the whole block when it fits the budget
-// (the batch remainder). When it does not and prefix is set, it is a
+// (what is left of the batch or quantum). When it does not, it is a
 // prefix: the leading body ops that fit, never the terminator, its fused
-// compare or the slot. Otherwise the state single-steps.
-func (c *CPU) nextBlock(budget int, prefix bool) (b *block, w uint32, k int) {
+// compare or the slot.
+func (c *CPU) nextBlock(budget int) (b *block, w uint32, k int) {
 	if c.inDelay || len(c.pendIRQ) > 0 {
 		return nil, 0, 0
 	}
@@ -140,7 +140,7 @@ func (c *CPU) nextBlock(budget int, prefix bool) (b *block, w uint32, k int) {
 		return b, w, b.nInst
 	}
 	k = min(budget, len(b.ops))
-	if !prefix || k == 0 {
+	if k == 0 {
 		return nil, 0, 0
 	}
 	// The same start rule as a whole block's: only the last instruction's
@@ -235,7 +235,8 @@ func (b *block) blockPC(idx int) uint32 { return b.startPC + uint32(4*idx) }
 // runBlock executes the first k instructions of b: the whole block
 // (k == b.nInst) or a prefix of its body ops (see nextBlock). It charges
 // all k instructions up front and unwinds those an early exit kept from
-// running; every exit reports what retired to the Retire hook. Preconditions (nextBlock): not halted, not in a delay slot,
+// running; every exit reports what retired to the Retire hook.
+// Preconditions (nextBlock): not halted, not in a delay slot,
 // no interrupt pending, pc == b.startPC, and the run's instructions but
 // the last fit under MaxCycles.
 func (c *CPU) runBlock(w uint32, b *block, k int) error {

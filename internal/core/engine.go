@@ -8,19 +8,12 @@ import "fmt"
 type Engine uint8
 
 const (
-	// EngineAuto picks the fastest engine: the trace tier (block
-	// execution with heat counters, compiling hot paths that span taken
-	// delayed branches into guarded superblocks), or plain block execution
-	// while a Retire hook is installed, since superblocks do not report
-	// their retirements.
-	EngineAuto Engine = iota
-	// EngineBlock forces basic-block execution without the trace tier.
+	// EngineAuto is the fast engine: straight-line runs of predecoded
+	// instructions execute as compiled basic blocks (block.go).
 	// Individual instructions still single-step where a block cannot
 	// apply: delay slots entered mid-flight, pending interrupts,
-	// invalidated or undecodable code. It has no public spelling: the
-	// pipelined target selects it, and the engine differentials and
-	// benchmarks use it to cover the block tier on its own.
-	EngineBlock
+	// invalidated or undecodable code.
+	EngineAuto Engine = iota
 	// EngineStep forces the single-step interpreter: Step in a loop, the
 	// reference semantics.
 	EngineStep
@@ -35,8 +28,6 @@ const EngineInvalid Engine = 0xFF
 
 func (e Engine) String() string {
 	switch e {
-	case EngineBlock:
-		return "block"
 	case EngineStep:
 		return "step"
 	case EngineInvalid:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -13,10 +12,10 @@ import (
 // each opcode × immediate or register operand × SCC on or off × r0 or a
 // live destination, on edge operands, run as a block body op, as the delay
 // slot of a JMPR (the fast terminator) and of a CALLR (the generic
-// control path), inside a hot loop the trace tier compiles, and, for a
-// flag-setting SUB before a JMPR, as the fused compare-and-branch. Every
-// run goes through the step oracle, the block engine and the auto engine,
-// which must agree on registers, flags, memory, Stats and the PC pair.
+// control path), inside a hot loop whose block runs again and again, and,
+// for a flag-setting SUB before a JMPR, as the fused compare-and-branch.
+// Every run goes through the step oracle and the block engine (auto), which
+// must agree on registers, flags, memory, Stats and the PC pair.
 
 // Operand registers are globals, so a slot after CALLR (which runs in the
 // callee's window) reads and writes the same values as the other contexts.
@@ -106,8 +105,8 @@ func formContexts(t *testing.T, in isa.Inst) map[string]*asm.Image {
 		// The slot of a CALLR: the generic control path's slot, run in
 		// the callee's window.
 		"callr slot": formProgram(t, "callr r25,#16", in, "ret r25,#8", "nop", "ret r25,#8", "nop"),
-		// A body op and a slot of a loop the trace tier compiles; the
-		// loop's own compare fuses with its branch.
+		// A body op and a slot of a loop whose block runs eight times;
+		// the loop's own compare fuses with its branch.
 		"hot loop": formProgram(t, in, fmt.Sprintf("sub! r%d,#1,r%d", formLoop, formLoop),
 			"bne -8", in, "ret r25,#8", "nop"),
 	}
@@ -129,11 +128,7 @@ type formState struct {
 // runForm loads img with the given starting state and runs it under e.
 func runForm(t *testing.T, e Engine, img *asm.Image, st formState) (*CPU, error) {
 	t.Helper()
-	cfg := Config{MemSize: formMemSize, MaxCycles: 20000, Engine: e}
-	if e == EngineAuto {
-		cfg.HotThreshold = 2
-	}
-	c := New(cfg)
+	c := New(Config{MemSize: formMemSize, MaxCycles: 20000, Engine: e})
 	if err := c.Load(img); err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -148,26 +143,20 @@ func runForm(t *testing.T, e Engine, img *asm.Image, st formState) (*CPU, error)
 	return c, c.Run()
 }
 
-// compareForm runs img from st under step, block and auto and requires
-// the three to agree, memory included. It returns the block and auto
-// runs' CPUs, whose RAM it has released, and the step run's error.
-func compareForm(t *testing.T, label string, img *asm.Image, st formState) (cb, ca *CPU, err error) {
+// compareForm runs img from st under step and the block engine and
+// requires the two to agree, memory included. It returns the block run's
+// CPU, whose RAM it has released.
+func compareForm(t *testing.T, label string, img *asm.Image, st formState) *CPU {
 	t.Helper()
 	cs, errS := runForm(t, EngineStep, img, st)
-	want, _ := cs.Mem.Bytes(0, formMemSize)
-	cs.Mem.Release()
-	var cpus [2]*CPU
-	for i, e := range []Engine{EngineBlock, EngineAuto} {
-		co, errO := runForm(t, e, img, st)
-		name := label + " under " + e.String()
-		compareEngines(t, name, cs, co, errS, errO)
-		if got, _ := co.Mem.Bytes(0, formMemSize); !bytes.Equal(got, want) {
-			t.Fatalf("%s: memory differs from step", name)
-		}
-		co.Mem.Release()
-		cpus[i] = co
+	cb, errB := runForm(t, EngineAuto, img, st)
+	compareEngines(t, label, cs, cb, errS, errB)
+	if !cb.Mem.SameRAM(cs.Mem) {
+		t.Fatalf("%s: memory differs from step", label)
 	}
-	return cpus[0], cpus[1], errS
+	cs.Mem.Release()
+	cb.Mem.Release()
+	return cb
 }
 
 // TestCompiledFormsMatchStep sweeps every compiled form of every
@@ -177,9 +166,9 @@ func TestCompiledFormsMatchStep(t *testing.T) {
 	flagSets := []isa.Flags{{}, {C: true, V: true, N: true, Z: true}, {C: true}, {N: true, V: false, Z: true}}
 	runs := 0
 	for _, op := range blockableOps() {
-		// The sweep must reach the tiers it pins: each op's loop runs as a
-		// turbo trace at least once, and every fused program fuses.
-		turbo := 0
+		// The sweep must reach what it pins: each op's loop block runs
+		// more than once at least once, and every fused program fuses.
+		looped := 0
 		for _, in := range formInsts(op) {
 			name := in.String()
 			if in.SCC && op.Cat() == isa.CatStore {
@@ -207,15 +196,15 @@ func TestCompiledFormsMatchStep(t *testing.T) {
 					for si, s2 := range s2s {
 						st := formState{rs1: rs1, s2: s2, flags: flagSets[(vi+si)%len(flagSets)]}
 						for cname, img := range ctxs {
-							_, ca, _ := compareForm(t, fmt.Sprintf("%s [%s] rs1=%#x s2=%#x imm=%d %+v", name, cname, rs1, s2, imm, st.flags), img, st)
-							if cname == "hot loop" && ca.traces != nil && ca.traces[0] != nil && ca.traces[0].turbo != nil {
-								turbo++
+							cb := compareForm(t, fmt.Sprintf("%s [%s] rs1=%#x s2=%#x imm=%d %+v", name, cname, rs1, s2, imm, st.flags), img, st)
+							if cname == "hot loop" && cb.heat[0] > 1 {
+								looped++
 							}
 							runs++
 						}
 						for cond, img := range fused {
 							label := fmt.Sprintf("%s [fused %v] rs1=%#x s2=%#x imm=%d %+v", name, isa.Cond(cond), rs1, s2, imm, st.flags)
-							cb, _, _ := compareForm(t, label, img, st)
+							cb := compareForm(t, label, img, st)
 							if b := cb.blocks[0]; b == nil || len(b.ops) != 0 || b.termFast == nil {
 								t.Fatalf("%s: the compare did not fuse with its branch", label)
 							}
@@ -225,8 +214,8 @@ func TestCompiledFormsMatchStep(t *testing.T) {
 				}
 			}
 		}
-		if turbo == 0 {
-			t.Errorf("%v: no hot loop ran as a turbo trace", op)
+		if looped == 0 {
+			t.Errorf("%v: no hot loop ran its block more than once", op)
 		}
 	}
 	if runs == 0 {
@@ -282,10 +271,9 @@ func FuzzCompiledForms(f *testing.F) {
 			formProgram(t, "b 8", in, "ret r25,#8", "nop"),
 		} {
 			cs, errS := run(EngineStep, img)
-			cb, errB := run(EngineBlock, img)
+			cb, errB := run(EngineAuto, img)
 			compareEngines(t, in.String()+" under block", cs, cb, errS, errB)
-			want, _ := cs.Mem.Bytes(0, formMemSize)
-			if got, _ := cb.Mem.Bytes(0, formMemSize); !bytes.Equal(got, want) {
+			if !cb.Mem.SameRAM(cs.Mem) {
 				t.Fatalf("%v under block: memory differs from step", in)
 			}
 		}

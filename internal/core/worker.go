@@ -13,7 +13,7 @@ import (
 // whose code caches are the leader's.
 
 // NewWorker returns a parked core sharing this CPU's memory and decoded-code
-// caches (predecode lines, compiled blocks, traces — including write-watch
+// caches (predecode lines and compiled blocks, including write-watch
 // invalidation, which broadcasts through the shared tables). The worker has
 // fresh registers, stats and control state, and is halted until Launch.
 func (c *CPU) NewWorker() *CPU {
@@ -62,25 +62,12 @@ func (c *CPU) Launch(entry, sp, arg uint32) {
 const workerArgReg = 26
 
 // RunFor executes up to budget instructions — one scheduling quantum — and
-// returns how many retired. Halting, faulting, or an engine batch boundary
-// can end the quantum early; the caller distinguishes them via Halted and
-// the error. Driving a core with RunFor until it halts retires the
-// architectural state sequence RunContext produces, whatever the quantum;
-// only with RunFor(runBatch) does the trace tier also schedule as it does.
-func (c *CPU) RunFor(budget int) (int, error) {
-	useBlocks, useTraces := c.engineTiers()
-	n, err := c.runSlice(budget, useBlocks, useTraces)
-	if err != nil || n > 0 || c.halted {
-		return n, err
-	}
-	// A hot trace is parked at the PC but the budget cannot fit one
-	// iteration (only possible with a quantum below a trace's length);
-	// single-step once so a tiny quantum still makes progress.
-	if err := c.Step(); err != nil {
-		return 0, err
-	}
-	return 1, nil
-}
+// returns how many retired: all of them, unless the core halts or faults
+// first (the caller tells the two apart via Halted and the error). Every
+// engine retires the same instructions in a quantum, so driving a core
+// with RunFor until it halts retires the architectural state sequence
+// RunContext produces, whatever the quantum and the engine.
+func (c *CPU) RunFor(budget int) (int, error) { return c.runSlice(budget) }
 
 // Instructions returns the instructions retired so far (cheap accessor for
 // schedulers; Stats materializes the full picture).

@@ -114,8 +114,8 @@ func E12SMPScalability(_ *Lab) (*E12Result, error) {
 		}
 		// Validation: the widest machine re-runs under the dynamic race
 		// detector, so the table only ever describes executions that were
-		// also checked race-free. (The detector forces the step engine; its
-		// timings are not comparable, so this run is not measured.)
+		// also checked race-free. (The detector forces the step engine,
+		// which interleaves the cores as the measured run did.)
 		widest := E12CoreCounts[len(E12CoreCounts)-1]
 		checked, err := machine.Run(context.Background(), machine.Image{RISC: img}, machine.Config{
 			Target: cc.RISCWindowed,

@@ -357,7 +357,7 @@ func E6WindowDepth(l *Lab) (*E6Result, error) {
 				}
 				calls += r.Stats.Calls
 				ovf += r.Stats.WindowOverflow
-				trapCycles += (r.Stats.WindowOverflow + r.Stats.WindowUnderflow) * timing.RiscSpillCycles
+				trapCycles += timing.TrapCycles(r.Stats.WindowOverflow, r.Stats.WindowUnderflow, r.Stats.WindowBatchSpills)
 			}
 			rows = append(rows, E6Row{
 				Windows:      n,

@@ -64,7 +64,7 @@ func TestLabMixedEngineHammer(t *testing.T) {
 	if len(benches) > 3 {
 		benches = benches[:3]
 	}
-	engines := []core.Engine{core.EngineStep, core.EngineBlock, core.EngineAuto}
+	engines := []core.Engine{core.EngineStep, core.EngineAuto}
 	var jobs []Job
 	for _, b := range benches {
 		for _, e := range engines {

@@ -31,7 +31,7 @@ type Config struct {
 	Target cc.Target
 	// Windows, SpillBatch, MaxCycles and Engine set the core.Config fields
 	// of the same names on every RISC I core; the CX machine takes only
-	// MaxCycles, and the pipelined target always runs the block engine.
+	// MaxCycles.
 	Windows    int
 	SpillBatch int
 	MaxCycles  uint64
@@ -77,21 +77,8 @@ type Info struct {
 	DataWriteBytes   uint64
 	FetchBytes       uint64
 
-	// Trace-tier meta statistics, populated on RISC targets when the auto
-	// or trace engine ran. They live outside the architectural statistics
-	// above on purpose: all engines agree on those exactly, and only the
-	// trace tier has traces to count.
-	TracesCompiled     uint64
-	TraceSideExits     uint64
-	TraceInvalidations uint64
-	// TraceInstructions counts dynamic instructions retired inside
-	// compiled traces (a subset of Instructions).
-	TraceInstructions uint64
-	// HotBlocks counts block leaders whose execution heat reached the
-	// trace-compile threshold.
-	HotBlocks int
-	// Profile and NGrams carry the full heat table and the measured
-	// dynamic opcode n-grams; both are filled only when
+	// Profile and NGrams carry the block engine's heat table and the
+	// measured dynamic opcode n-grams; both are filled only when
 	// Config.Profile is set.
 	Profile []core.HeatEntry
 	NGrams  []core.NGram
@@ -104,8 +91,8 @@ type Info struct {
 
 	// SMP carries the shared-memory machine's breakdown for runs with
 	// Config.Cores > 1; nil otherwise. For those runs the counters
-	// above sum every core (MaxCallDepth is the deepest core's, and
-	// HotBlocks counts the heat table the cores share), and Cycles is the
+	// above sum every core (MaxCallDepth is the deepest core's), the
+	// profile is the heat table the cores share, and Cycles is the
 	// machine's makespan (max over cores of executed plus contention
 	// cycles).
 	SMP *SMP
@@ -270,20 +257,16 @@ func (img Image) size() int {
 }
 
 // fromSMP sums every core's Stats, with the data traffic each core was
-// attributed, and trace counters into core 0's Result, as the Result and
-// Info field comments describe, and adds the machine's breakdown.
+// attributed, into core 0's Result, as the Result and Info field comments
+// describe, and adds the machine's breakdown.
 func fromSMP(m *smp.Machine, profile bool) *Result {
 	r := fromCore(m.Core(0), profile)
 	sum := stats.New()
 	perCore := m.CoreStats()
 	for i, cs := range perCore {
-		c := m.Core(i)
-		s := *c.Stats()
+		s := *m.Core(i).Stats()
 		s.DataReads, s.DataWrites = cs.DataReadBytes, cs.DataWriteBytes
 		sum.Add(&s)
-		if i > 0 { // fromCore added core 0's
-			r.addTrace(c.TraceStats())
-		}
 	}
 	sum.Cycles = r.Stats.Cycles
 	r.Stats, r.Cycles, r.Races = sum, m.Elapsed(), m.Races()
@@ -320,29 +303,14 @@ func fromCore(c *core.CPU, profile bool) *Result {
 		ConsoleTruncated: c.Mem.ConsoleTruncated(),
 		Cycles:           s.Cycles,
 	}}
-	r.addTrace(c.TraceStats())
-	heat := c.HeatProfile()
-	for _, h := range heat {
-		if h.Count >= c.HotThreshold() {
-			r.HotBlocks++
-		}
-	}
 	if profile {
-		r.Profile = heat
+		r.Profile = c.HeatProfile()
 		// Left nil when no n-gram ran, as on the step engine.
 		if grams := append(c.HotNGrams(2, 8), c.HotNGrams(3, 8)...); len(grams) > 0 {
 			r.NGrams = grams
 		}
 	}
 	return r
-}
-
-// addTrace adds one core's trace-tier counters to the report.
-func (r *Result) addTrace(t core.TraceStats) {
-	r.TracesCompiled += t.Compiled
-	r.TraceSideExits += t.SideExits
-	r.TraceInvalidations += t.Invalidations
-	r.TraceInstructions += t.Instructions
 }
 
 // flatten copies Stats into the report and sets its Time, at a clock

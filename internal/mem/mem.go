@@ -4,6 +4,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -557,3 +558,6 @@ func (m *Memory) Bytes(addr uint32, n int) ([]byte, error) {
 	copy(out, m.ram[addr:])
 	return out, nil
 }
+
+// SameRAM reports whether m and o hold identical RAM, compared in place.
+func (m *Memory) SameRAM(o *Memory) bool { return bytes.Equal(m.ram, o.ram) }

@@ -41,7 +41,7 @@ func BenchmarkPipelineSuite(b *testing.B) {
 // kernels on the bare core with a Retire hook that prices nothing, in host
 // ns per simulated pipeline cycle (the same denominator as
 // BenchmarkPipelineSuite). "step" is the floor of pricing per instruction
-// on the step oracle; "block" is the floor of pricing per block run.
+// on the step oracle; "auto" is the floor of pricing per block run.
 //
 //	go test -run '^$' -bench RetireFloor -count 5 ./internal/pipeline
 func BenchmarkRetireFloor(b *testing.B) {
@@ -60,7 +60,7 @@ func BenchmarkRetireFloor(b *testing.B) {
 		}
 		cycles += m.Result().Cycles
 	}
-	for _, e := range []core.Engine{core.EngineStep, core.EngineBlock} {
+	for _, e := range []core.Engine{core.EngineStep, core.EngineAuto} {
 		b.Run(e.String(), func(b *testing.B) {
 			cfg := cfg
 			cfg.Engine = e

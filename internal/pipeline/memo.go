@@ -188,7 +188,7 @@ func (m *Machine) retire(pc uint32, insts []isa.Inst, taken bool) {
 	unf := m.st.WindowUnderflow - m.lastUnf
 	bat := m.st.WindowBatchSpills - m.lastBatch
 	m.lastOvf, m.lastUnf, m.lastBatch = m.st.WindowOverflow, m.st.WindowUnderflow, m.st.WindowBatchSpills
-	traps := ovf*timing.RiscSpillCycles + unf*timing.RiscFillCycles + bat*timing.RiscBatchSpillCycles
+	traps := timing.TrapCycles(ovf, unf, bat)
 
 	moved := false
 	if g := m.cpu.CodeGen(); g != m.gen {

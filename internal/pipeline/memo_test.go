@@ -57,8 +57,7 @@ func comparePricing(t *testing.T, name string, cfg core.Config, p Policy, img *a
 		t.Fatalf("%s: pricer window %d (step pricing %d), oracle %d", name, m.cwp, ref.cwp, cwp)
 	}
 	st := m.CPU().Stats()
-	traps := st.WindowOverflow*timing.RiscSpillCycles + st.WindowUnderflow*timing.RiscFillCycles +
-		st.WindowBatchSpills*timing.RiscBatchSpillCycles
+	traps := timing.TrapCycles(st.WindowOverflow, st.WindowUnderflow, st.WindowBatchSpills)
 	if got := m.Result().WindowStallCycles; got != traps {
 		t.Fatalf("%s: %d window stall cycles, the core's traps cost %d (%d overflows, %d underflows, %d batch spills)",
 			name, got, traps, st.WindowOverflow, st.WindowUnderflow, st.WindowBatchSpills)

@@ -373,7 +373,7 @@ func TestWindowTrapDrains(t *testing.T) {
 		t.Fatalf("recursion did not exercise the window traps: %d/%d",
 			st.WindowOverflow, st.WindowUnderflow)
 	}
-	want := st.WindowOverflow*timing.RiscSpillCycles + st.WindowUnderflow*timing.RiscFillCycles
+	want := timing.TrapCycles(st.WindowOverflow, st.WindowUnderflow, st.WindowBatchSpills)
 	if r.WindowStallCycles != want {
 		t.Errorf("window stalls = %d, want %d (%d ovf, %d unf)",
 			r.WindowStallCycles, want, st.WindowOverflow, st.WindowUnderflow)

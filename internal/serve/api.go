@@ -29,9 +29,9 @@ type RunRequest struct {
 	// TimeoutMS lowers the server's per-run wall-clock deadline, likewise
 	// clamped to the server ceiling.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Engine selects the RISC execution engine: "auto" (default, the
-	// profile-guided trace tier) or "step" (the single-step reference
-	// interpreter). CISC runs ignore it.
+	// Engine selects the RISC execution engine: "auto" (default, compiled
+	// basic blocks) or "step" (the single-step reference interpreter).
+	// CISC runs ignore it.
 	Engine string `json:"engine,omitempty"`
 	// Policy selects the pipeline's control-transfer policy for the
 	// "pipelined" target: "delayed" (default, the paper's delayed jumps)

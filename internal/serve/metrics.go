@@ -43,13 +43,6 @@ type metrics struct {
 	// streamEvents counts events emitted on /v1/run/stream, by event type.
 	streamEvents map[string]uint64
 
-	// Trace-tier counters across all /v1/run simulations: superblocks
-	// compiled, guarded side exits taken, and traces dropped by stores
-	// into their code.
-	traceCompiled      uint64
-	traceSideExits     uint64
-	traceInvalidations uint64
-
 	// Pipeline-model counters across all pipelined-target runs: runs by
 	// control-transfer policy, plus the aggregate stall-cycle breakdown.
 	pipelineRuns map[string]uint64 // policy → pipelined /v1/run simulations
@@ -153,16 +146,13 @@ func (m *metrics) addRun(engine string) {
 }
 
 // addReport accumulates one successful run's report: its simulated
-// instructions, trace-tier activity, pipeline counters on the pipelined
+// instructions, pipeline counters on the pipelined
 // target, machine counters on a multi-core run, and, when the request asked
 // for the detector (race), the races it found.
 func (m *metrics) addReport(info *risc1.RunInfo, race bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.simInstrs += info.Instructions
-	m.traceCompiled += info.TracesCompiled
-	m.traceSideExits += info.TraceSideExits
-	m.traceInvalidations += info.TraceInvalidations
 	if p := info.Pipeline; p != nil {
 		m.pipelineRuns[p.Policy]++
 		m.pipeLoadUse += p.LoadUseStallCycles
@@ -277,18 +267,6 @@ func (m *metrics) render(g gauges) string {
 	b.WriteString("# HELP riscd_simulated_instructions_total Guest instructions simulated for /v1/run.\n")
 	b.WriteString("# TYPE riscd_simulated_instructions_total counter\n")
 	fmt.Fprintf(&b, "riscd_simulated_instructions_total %d\n", m.simInstrs)
-
-	b.WriteString("# HELP riscd_trace_compiled_total Hot-path superblocks compiled by the trace tier.\n")
-	b.WriteString("# TYPE riscd_trace_compiled_total counter\n")
-	fmt.Fprintf(&b, "riscd_trace_compiled_total %d\n", m.traceCompiled)
-
-	b.WriteString("# HELP riscd_trace_side_exits_total Guarded side exits taken out of compiled traces.\n")
-	b.WriteString("# TYPE riscd_trace_side_exits_total counter\n")
-	fmt.Fprintf(&b, "riscd_trace_side_exits_total %d\n", m.traceSideExits)
-
-	b.WriteString("# HELP riscd_trace_invalidations_total Compiled traces dropped by stores into their code.\n")
-	b.WriteString("# TYPE riscd_trace_invalidations_total counter\n")
-	fmt.Fprintf(&b, "riscd_trace_invalidations_total %d\n", m.traceInvalidations)
 
 	b.WriteString("# HELP riscd_pipeline_runs_total Pipelined-target /v1/run simulations, by control-transfer policy.\n")
 	b.WriteString("# TYPE riscd_pipeline_runs_total counter\n")

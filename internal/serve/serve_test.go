@@ -869,38 +869,6 @@ func TestRunPipelined(t *testing.T) {
 	}
 }
 
-// TestRunTraceTierMetrics runs a loop hot enough for the trace tier to
-// compile a superblock (and take its guarded side exit when the loop
-// ends), then checks the /metrics trace counters moved.
-func TestRunTraceTierMetrics(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	src := `main:	add r0,#0,r1
-	loop:	add r1,#1,r1
-		cmp r1,#2000
-		blt loop
-		nop
-		ret r25,#8
-		nop
-	`
-	resp, raw := postJSON(t, ts.URL+"/v1/run",
-		RunRequest{Source: src, Lang: "asm"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d\n%s", resp.StatusCode, raw)
-	}
-
-	_, raw = getBody(t, ts.URL+"/metrics")
-	text := string(raw)
-	for metric, needNonZero := range map[string]bool{
-		"riscd_trace_compiled_total":      true,
-		"riscd_trace_side_exits_total":    true,
-		"riscd_trace_invalidations_total": false,
-	} {
-		if val := metricValue(t, text, metric); needNonZero && val == 0 {
-			t.Errorf("%s = 0, want > 0", metric)
-		}
-	}
-}
-
 // TestRunSMP covers the multi-core run path: a parallel program on the
 // shared-memory machine, the SMP response section, the server core ceiling,
 // the windowed-only rule, and the smp metrics counters.

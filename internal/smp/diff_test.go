@@ -2,6 +2,7 @@ package smp
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"risc1/internal/core"
 	"risc1/internal/isa"
 	"risc1/internal/prog"
+	"risc1/internal/stats"
 )
 
 // A single-core SMP machine must be the single-core machine: quantum
@@ -23,8 +25,7 @@ func TestSingleCoreDifferential(t *testing.T) {
 		e    core.Engine
 	}{
 		{"step", core.EngineStep},
-		{"block", core.EngineBlock},
-		{"trace", core.EngineAuto},
+		{"auto", core.EngineAuto},
 	}
 	for _, b := range prog.All() {
 		res, err := cc.Compile(b.Source, cc.Options{Target: cc.RISCWindowed})
@@ -89,6 +90,43 @@ func compareState(t *testing.T, label string, want, got *core.CPU) {
 	}
 	if a, b := want.Stats(), got.Stats(); !reflect.DeepEqual(*a, *b) {
 		t.Fatalf("%s: stats mismatch:\noracle: %+v\nsmp:    %+v", label, *a, *b)
+	}
+}
+
+// TestInterleavingEngineIndependent: a scheduling quantum retires the same
+// instructions under every engine, so the cores interleave identically and
+// a multi-core run is the same run under auto and step, down to every
+// core's Stats, the rounds and the makespan. It is what lets the race
+// detector, which forces the step engine, check the interleaving auto runs.
+func TestInterleavingEngineIndependent(t *testing.T) {
+	for _, name := range []string{"psum", "pcrunch", "pqsort"} {
+		for _, n := range []int{2, 4} {
+			label := fmt.Sprintf("%s on %d cores", name, n)
+			step := runKernel(t, name, n, core.EngineStep)
+			auto := runKernel(t, name, n, core.EngineAuto)
+			if a, b := step.Console(), auto.Console(); a != b {
+				t.Errorf("%s: console step %q, auto %q", label, a, b)
+			}
+			var sum [2]stats.Stats
+			for i := 0; i < n; i++ {
+				a, b := step.Core(i).Stats(), auto.Core(i).Stats()
+				if !reflect.DeepEqual(*a, *b) {
+					t.Errorf("%s: core %d stats:\nstep: %+v\nauto: %+v", label, i, *a, *b)
+				}
+				sum[0].Add(a)
+				sum[1].Add(b)
+			}
+			if !reflect.DeepEqual(sum[0], sum[1]) {
+				t.Errorf("%s: total stats:\nstep: %+v\nauto: %+v", label, sum[0], sum[1])
+			}
+			if a, b := step.CoreStats(), auto.CoreStats(); !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: per-core breakdown:\nstep: %+v\nauto: %+v", label, a, b)
+			}
+			if step.Rounds() != auto.Rounds() || step.Elapsed() != auto.Elapsed() {
+				t.Errorf("%s: step %d rounds, makespan %d; auto %d rounds, makespan %d",
+					label, step.Rounds(), step.Elapsed(), auto.Rounds(), auto.Elapsed())
+			}
+		}
 	}
 }
 

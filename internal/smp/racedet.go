@@ -30,8 +30,8 @@ import (
 //
 // The detector runs with the step engine forced (Config.Race does this), so
 // every access is attributed to the exact program counter executing it. The
-// interleaving checked is the step engine's, which can differ from the trace
-// tier's on more than one core (see the package doc).
+// interleaving checked is the one the auto engine runs too (see the package
+// doc).
 
 // RaceAccess is one side of a reported race.
 type RaceAccess struct {

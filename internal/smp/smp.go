@@ -4,14 +4,11 @@
 //
 // Determinism is the organizing principle. Slicing each core's execution
 // into quanta and interleaving the slices round-robin yields one global
-// instruction order, the same on every run under one engine tier. It is not
-// the same across tiers: under the trace tier a quantum ends early where a
-// compiled trace is headed but cannot fit an iteration in what is left of
-// it (runSlice's early batch end), so the step engine switches cores at
-// other points. Correct programs, which synchronize through the lock page
-// and join, print the same results under every tier; their instruction and
-// cycle counts may differ. Atomicity of the test-and-set lock page
-// (mem.LockBase) falls out of the slicing: cores never interleave
+// instruction order, the same on every run and under every engine: a
+// quantum retires exactly its instructions whether they step one at a time
+// or run as compiled blocks (a block longer than what is left of the
+// quantum runs only the body ops that fit). Atomicity of the test-and-set
+// lock page (mem.LockBase) falls out of the slicing: cores never interleave
 // mid-instruction.
 //
 // The interconnect cost model is deliberately simple, in the spirit of the
@@ -79,9 +76,9 @@ type Config struct {
 	// room a single-core machine would have.
 	Core core.Config
 	// Race enables the dynamic race detector (see racedet.go). It forces
-	// the step engine so every access is attributed to its exact PC; the
-	// interleaving checked is therefore the step engine's, which can
-	// differ from the one Core.Engine would run (see the package doc).
+	// the step engine so every access is attributed to its exact PC. The
+	// interleaving checked is the one every engine runs (see the package
+	// doc).
 	Race bool
 }
 

@@ -59,10 +59,9 @@ func TestPerCoreCountersAddUp(t *testing.T) {
 			t.Errorf("core %d retired nothing", i)
 		}
 		if err := acct.Check(acct.Run{
-			Stats:             s,
-			TraceInstructions: c.TraceStats().Instructions,
-			DepthHist:         true,
-			Windowed:          true,
+			Stats:     s,
+			DepthHist: true,
+			Windowed:  true,
 		}); err != nil {
 			t.Errorf("core %d: %v", i, err)
 		}

@@ -36,3 +36,11 @@ const (
 	// the trap entry and exit are already paid.
 	RiscBatchSpillCycles = 16 * RiscStoreCycles // 32
 )
+
+// TrapCycles is the one price of register-window traps: overflows and
+// underflows cost a trap each, and each window an overflow trap spills
+// beyond the first costs its stores. The core charges it, the pipeline
+// stalls for it, and the accounting check and E6 add it up.
+func TrapCycles(overflows, underflows, batchSpills uint64) uint64 {
+	return overflows*RiscSpillCycles + underflows*RiscFillCycles + batchSpills*RiscBatchSpillCycles
+}

@@ -82,16 +82,15 @@ const (
 // delayed) to a Policy.
 func ParsePolicy(s string) (Policy, error) { return pipeline.ParsePolicy(s) }
 
-// Engine selects how the RISC I core executes: the profile-guided trace
-// tier (the default — basic blocks plus superblocks compiled over hot
-// paths) or the single-step reference interpreter. On one core the
-// engines are observationally identical — same console, statistics,
-// faults — and differ only in speed; see core.Engine. On more than one
-// core they may interleave the cores differently (see RunOptions.Race).
+// Engine selects how the RISC I core executes: compiled basic blocks (the
+// default) or the single-step reference interpreter. The engines are
+// observationally identical — same console, statistics, faults, and on
+// more than one core the same interleaving — and differ only in speed;
+// see core.Engine.
 type Engine = core.Engine
 
-// The execution engines. EngineAuto resolves to the trace tier, or to plain
-// basic blocks while a per-instruction trace callback is installed.
+// The execution engines. EngineAuto runs compiled basic blocks; EngineStep
+// is the reference interpreter.
 const (
 	EngineAuto = core.EngineAuto
 	EngineStep = core.EngineStep
@@ -164,8 +163,7 @@ type SMPCoreInfo = smp.CoreStats
 type PipelineInfo = machine.Pipeline
 
 // BlockProfile is one row of the execution-heat profile: a basic-block
-// leader, how many times it dispatched, and whether a live compiled trace
-// covers it.
+// leader and how many times a block dispatched there.
 type BlockProfile = core.HeatEntry
 
 // NGramCount is one measured dynamic opcode n-gram: block heat times the
@@ -266,16 +264,16 @@ type RunOptions struct {
 	// cycles (RISC) or microcycles (CX). Zero keeps the machine default.
 	MaxCycles uint64
 	// Engine selects the RISC core execution engine. The CX machine has a
-	// single interpreter and ignores it; the pipelined target always runs
-	// the block engine (the timing model prices each block's retirements).
+	// single interpreter and ignores it; on the pipelined target the
+	// timing model prices what the engine retires, a block or one
+	// instruction at a time.
 	Engine Engine
 	// Policy selects the pipelined target's control-transfer policy
 	// (delayed or squash); other targets ignore it.
 	Policy Policy
 	// Profile collects the execution-heat table and dynamic opcode
-	// n-grams into RunInfo.Profile / RunInfo.NGrams. Only the auto and
-	// trace engines count heat, so both are empty on CISC, on the
-	// pipelined target and under the block and step engines.
+	// n-grams into RunInfo.Profile / RunInfo.NGrams. Heat counts block
+	// dispatches, so both are empty on CISC and under the step engine.
 	Profile bool
 	// Cores runs the image on a shared-memory machine of this many RISC I
 	// cores (1..MaxCores; 0 means 1). Multi-core runs require the
@@ -287,10 +285,8 @@ type RunOptions struct {
 	// pairs to shared words into RunInfo.Races. It routes the run through
 	// the shared-memory machine (so it requires RISCWindowed, even at one
 	// core) and forces the step engine for exact access attribution —
-	// expect a slower run. On more than one core the step engine
-	// interleaves the cores differently from the auto engine, so the
-	// instruction and cycle counts of a run with Race can differ from one
-	// without; a correct program prints the same console.
+	// expect a slower run. Every engine interleaves the cores the same way,
+	// so a run with Race retires what the same run without it does.
 	Race bool
 	// Monitor, when non-nil, observes the run while it is in flight —
 	// the seam the riscd streaming API is built on. It never changes
@@ -418,8 +414,7 @@ func (m *Machine) Info() *RunInfo {
 }
 
 // Profile returns the execution-heat table accumulated so far, hottest
-// first. Heat is counted by the trace-capable engines (auto, trace); the
-// block and step engines leave it empty.
+// first. Heat counts block dispatches; the step engine leaves it empty.
 func (m *Machine) Profile() []BlockProfile { return m.cpu.HeatProfile() }
 
 // HotNGrams returns the top measured dynamic opcode n-grams (n clamped to
@@ -443,8 +438,7 @@ func (m *Machine) Symbol(name string) (uint32, bool) {
 // SetTrace installs (or clears, with nil) a per-instruction trace callback
 // receiving each executed instruction's address and disassembly, in
 // execution order. An instruction that faults is not traced. The sequence
-// is the same under every engine; the trace tier stands down while a
-// callback is installed.
+// is the same under every engine.
 func (m *Machine) SetTrace(f func(pc uint32, disasm string)) {
 	if f == nil {
 		m.cpu.Retire = nil
