@@ -87,8 +87,8 @@ const (
 	pinWindowedResult  = `{"instructions":4556,"cycles":6060,"sim_ns":2424000,"code_bytes":472,"calls":296,"max_call_depth":12,"window_overflows":15,"window_underflows":15,"cached":true}`
 	pinPipelinedRun    = `{"console":"89","instructions":4556,"cycles":6210,"sim_ns":2484000,"code_bytes":472,"calls":296,"max_call_depth":12,"window_overflows":15,"window_underflows":15,"cached":false,"pipeline":{"policy":"delayed","cycles":6210,"cpi":1.3630377524143986,"ref_cycles":6060,"load_use_stall_cycles":148,"window_stall_cycles":1200,"mem_port_stall_cycles":302,"flush_bubble_cycles":0,"forwards_ex_mem":741,"forwards_mem_wb":152,"delay_slots":1172,"delay_slots_filled":143,"fill_rate_pct":12.20136518771331}}` + "\n"
 	pinPipelinedResult = `{"instructions":4556,"cycles":6210,"sim_ns":2484000,"code_bytes":472,"calls":296,"max_call_depth":12,"window_overflows":15,"window_underflows":15,"cached":true,"pipeline":{"policy":"delayed","cycles":6210,"cpi":1.3630377524143986,"ref_cycles":6060,"load_use_stall_cycles":148,"window_stall_cycles":1200,"mem_port_stall_cycles":302,"flush_bubble_cycles":0,"forwards_ex_mem":741,"forwards_mem_wb":152,"delay_slots":1172,"delay_slots_filled":143,"fill_rate_pct":12.20136518771331}}`
-	pinSMPRun          = `{"console":"89","instructions":4556,"cycles":3996,"sim_ns":1598400,"code_bytes":472,"calls":295,"max_call_depth":12,"window_overflows":13,"window_underflows":13,"cached":false,"smp":{"cores":2,"elapsed_cycles":3996,"contention_cycles":535,"rounds":46,"spawns":1,"spawn_fails":1,"per_core":[{"instructions":2843,"cycles":3756,"contention_cycles":240,"data_read_bytes":960,"data_write_bytes":964,"launches":1},{"instructions":1713,"cycles":2145,"contention_cycles":295,"data_read_bytes":480,"data_write_bytes":480,"launches":1}]}}` + "\n"
-	pinSMPResult       = `{"instructions":4556,"cycles":3996,"sim_ns":1598400,"code_bytes":472,"calls":295,"max_call_depth":12,"window_overflows":13,"window_underflows":13,"cached":true,"smp":{"cores":2,"elapsed_cycles":3996,"contention_cycles":535,"rounds":46,"spawns":1,"spawn_fails":1,"per_core":[{"instructions":2843,"cycles":3756,"contention_cycles":240,"data_read_bytes":960,"data_write_bytes":964,"launches":1},{"instructions":1713,"cycles":2145,"contention_cycles":295,"data_read_bytes":480,"data_write_bytes":480,"launches":1}]}}`
+	pinSMPRun          = `{"console":"89","instructions":4556,"cycles":3996,"sim_ns":1598400,"code_bytes":472,"calls":295,"max_call_depth":12,"window_overflows":13,"window_underflows":13,"cached":false,"smp":{"cores":2,"elapsed_cycles":3996,"contention_cycles":517,"rounds":45,"spawns":1,"spawn_fails":1,"per_core":[{"instructions":2843,"cycles":3756,"contention_cycles":240,"data_read_bytes":960,"data_write_bytes":964,"launches":1},{"instructions":1713,"cycles":2145,"contention_cycles":277,"data_read_bytes":480,"data_write_bytes":480,"launches":1}]}}` + "\n"
+	pinSMPResult       = `{"instructions":4556,"cycles":3996,"sim_ns":1598400,"code_bytes":472,"calls":295,"max_call_depth":12,"window_overflows":13,"window_underflows":13,"cached":true,"smp":{"cores":2,"elapsed_cycles":3996,"contention_cycles":517,"rounds":45,"spawns":1,"spawn_fails":1,"per_core":[{"instructions":2843,"cycles":3756,"contention_cycles":240,"data_read_bytes":960,"data_write_bytes":964,"launches":1},{"instructions":1713,"cycles":2145,"contention_cycles":277,"data_read_bytes":480,"data_write_bytes":480,"launches":1}]}}`
 )
 
 // TestMetricsPinned pins the whole /metrics exposition after a fixed request
