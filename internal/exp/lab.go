@@ -65,8 +65,8 @@ type Options struct {
 	Windows     int  // register windows (0 = the paper's 8)
 	SpillBatch  int  // windows spilled per overflow trap (0 = 1)
 	NoDelayFill bool // leave NOPs in delay slots
-	// Engine selects the core execution engine (auto, step, or the block
-	// tier) for RISC targets; the CX machine ignores it. Engine is part of
+	// Engine selects the core execution engine (auto or step) for RISC
+	// targets; the CX machine ignores it. Engine is part of
 	// the lab cache key, so runs simulated under different engines never
 	// share a cached result.
 	Engine core.Engine
